@@ -72,12 +72,23 @@ class _ParseFailure(Exception):
     pass
 
 
+def _load_as(cls, path: str):
+    """Read an artifact of type ``cls``; a missing or mistyped field is a parse error."""
+    blob = _load(path)
+    try:
+        return cls.from_json_dict(blob)
+    except KeyError as e:
+        raise _ParseFailure(f"{path}: missing field {e}") from e
+    except TypeError as e:
+        raise _ParseFailure(f"{path}: malformed {cls.__name__}: {e}") from e
+
+
 def _load_instance(path: str) -> GdaInstance:
-    return GdaInstance.from_json_dict(_load(path))
+    return _load_as(GdaInstance, path)
 
 
 def _load_point(path: str, inst: GdaInstance) -> JointPoint:
-    p = JointPoint.from_json_dict(_load(path))
+    p = _load_as(JointPoint, path)
     if p.x.shape != (inst.d,):
         raise ValidationError([f"point has dimension {p.x.size}, instance needs {inst.d}"])
     return p
@@ -106,8 +117,8 @@ def cmd_gen_vi(args) -> int:
 
 
 def cmd_build(args) -> int:
-    pc = PureCircuitInstance.from_json_dict(_load(args.pc))
-    vi = LinVIInstance.from_json_dict(_load(args.vi))
+    pc = _load_as(PureCircuitInstance, args.pc)
+    vi = _load_as(LinVIInstance, args.vi)
     params = _params_from_args(args, pc, vi)
     try:
         inst = build_instance(pc, vi, params)

@@ -9,6 +9,7 @@ z'_j in {0, 1} is ever evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,10 @@ class LinVIInstance:
         c = np.asarray(self.c, dtype=float)
         if D.shape != (self.m, self.m) or c.shape != (self.m,):
             raise ValueError(f"expected D {self.m}x{self.m} and c of length {self.m}")
-        if np.abs(D).max(initial=0.0) > 1.0 or np.abs(c).max(initial=0.0) > 1.0:
-            raise ValueError("entries of D and c must lie in [-1, 1]")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not (np.abs(D) <= 1.0).all() or not (np.abs(c) <= 1.0).all():
+            raise ValueError("entries of D and c must be finite and lie in [-1, 1]")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "c", c)
 

@@ -87,6 +87,8 @@ class GateViolation:
 def validate_instance(inst: PureCircuitInstance) -> list[str]:
     """Return all structural violations; an empty list means the instance is valid."""
     problems: list[str] = []
+    if inst.kappa < 1:
+        problems.append(f"kappa = {inst.kappa} < 1: a circuit needs at least one vertex")
     out_count: dict[int, int] = {v: 0 for v in range(inst.kappa)}
 
     def check_gate(kind, idx, gate, outputs):

@@ -14,15 +14,26 @@ The objective couples three pieces:
 The logical level of a vertex is distance_threshold(||x^q - y^q||^2, m),
 and the link value is H_q = sum_i <D x_i^q + c, y_i^q - x_i^q>.
 
+``build_instance`` compiles the circuit once into index tables
+(:class:`GateTables`). The objective, the gradient and ``diagnostics``
+share one forward path: ``_batch_parts`` computes distances, levels and
+links for a (B, d) batch, and the gate terms are then evaluated with one
+call per gate function over the whole (B, #gates) table. Sums run in
+gate order, so results equal those of a gate-by-gate loop bit for bit.
+
 Gradients are available through two independent routes: ``eval_grad``
 aggregates per-vertex gate values and noise terms first, while
 ``eval_grad_direct`` accumulates the expanded chain-rule contribution of
-every gate. Both must agree to floating-point accuracy; tests and the
-CLI grad-check enforce this against central finite differences as well.
+every gate, one gate at a time and without the tables. Both must agree to
+floating-point accuracy; tests and the CLI grad-check enforce this
+against central finite differences (``finite_diff_grad``) as well.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,7 +104,10 @@ class GdaParams:
         if self.mode not in ("paper", "custom"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "custom":
-            object.__setattr__(self, "n", int(self.n))
+            n = self.n
+            if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n)):
+                raise ValueError(f"n must be an integer, got {n!r}")
+            object.__setattr__(self, "n", int(n))
             object.__setattr__(self, "epsilon", float(self.epsilon))
             object.__setattr__(self, "delta", float(self.delta))
         if not (self.n >= 1 and self.epsilon > 0 and self.delta > 0):
@@ -174,6 +188,75 @@ _BOUNDS_NOTE = (
 )
 
 
+@dataclass(frozen=True)
+class GateTables:
+    """The circuit compiled to index arrays, once per instance.
+
+    ``nor`` and ``purify`` are (3, #gates) arrays whose rows are the u, v
+    and w columns of each gate kind, in the circuit's gate order.
+
+    ``producers`` holds one (vertices, columns) pair per gate-output
+    table, in the order NOR output, PURIFY plus output, PURIFY minus
+    output: vertex ``vertices[k]`` reads its gate value from column
+    ``columns[k]`` of that table. A vertex with several producers keeps
+    the last one in gate order (NOR gates, then PURIFY gates with the
+    plus output before the minus output); one with none is not listed
+    and reads 0.
+
+    The noise contributions form a (B, 2 #nor + #purify) table: NOR
+    feedback to u, then to v, then PURIFY feedback to u. ``noise_passes``
+    scatters it as (vertices, columns) pairs with distinct vertices per
+    pass; pass k adds each vertex's k-th contribution in gate order, so
+    every vertex sums its terms in the order of a gate-by-gate loop.
+    """
+
+    nor: np.ndarray
+    purify: np.ndarray
+    producers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    noise_passes: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _index_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return rows[:, 0].copy(), rows[:, 1].copy()
+
+
+def _compile_gates(pc: PureCircuitInstance) -> GateTables:
+    """Index tables for one-call-per-gate-kind evaluation of ``pc``."""
+    for node in (x for g in pc.nor_gates + pc.purify_gates for x in g):
+        if not 0 <= node < pc.kappa:
+            raise ValidationError([f"gate vertex {node} outside [0, {pc.kappa})"])
+    nor = np.array(pc.nor_gates, dtype=np.intp).reshape(-1, 3).T.copy()
+    purify = np.array(pc.purify_gates, dtype=np.intp).reshape(-1, 3).T.copy()
+
+    last: dict[int, tuple[int, int]] = {}  # vertex -> (output table, column)
+    for col, (_u, _v, w) in enumerate(pc.nor_gates):
+        last[w] = (0, col)
+    for col, (_u, v, w) in enumerate(pc.purify_gates):
+        last[v] = (1, col)
+        last[w] = (2, col)
+    producers = tuple(
+        _index_pairs([(q, col) for q, (t, col) in last.items() if t == table])
+        for table in range(3)
+    )
+
+    n_nor = len(pc.nor_gates)
+    contributions = []  # (target vertex, column) in gate-loop order
+    for col, (u, v, _w) in enumerate(pc.nor_gates):
+        contributions += [(u, col), (v, n_nor + col)]
+    for col, (u, _v, _w) in enumerate(pc.purify_gates):
+        contributions.append((u, 2 * n_nor + col))
+    passes: list[list[tuple[int, int]]] = []
+    seen: Counter[int] = Counter()
+    for target, col in contributions:
+        if seen[target] == len(passes):
+            passes.append([])
+        passes[seen[target]].append((target, col))
+        seen[target] += 1
+    return GateTables(nor=nor, purify=purify, producers=producers,
+                      noise_passes=tuple(_index_pairs(p) for p in passes))
+
+
 @dataclass
 class GdaInstance:
     pc: PureCircuitInstance
@@ -185,7 +268,7 @@ class GdaInstance:
     d: int
     M: np.ndarray
     bounds: Bounds
-    output_gate: dict[int, tuple[str, tuple[int, int, int], str]]
+    gates: GateTables
 
     @property
     def epsilon(self) -> float:
@@ -271,15 +354,9 @@ def build_instance(pc: PureCircuitInstance, vi: LinVIInstance, params: GdaParams
         )
     n = int(params.n)
     M = float(params.delta) * (np.arange(1, n + 1, dtype=float) - n / 2.0)
-    out: dict[int, tuple[str, tuple[int, int, int], str]] = {}
-    for gate in pc.nor_gates:
-        out[gate[2]] = ("nor", gate, "out")
-    for gate in pc.purify_gates:
-        out[gate[1]] = ("purify", gate, "plus")
-        out[gate[2]] = ("purify", gate, "minus")
     return GdaInstance(
         pc=pc, vi=vi, params=params, kappa=kappa, n=n, m=m, d=kappa * n * m,
-        M=M, bounds=_conservative_bounds(pc, kappa, n, m, M), output_gate=out,
+        M=M, bounds=_conservative_bounds(pc, kappa, n, m, M), gates=_compile_gates(pc),
     )
 
 
@@ -348,35 +425,64 @@ def _batch_parts(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
     return Xr, Yr, diff, dist_sq, lam, dx_c, H
 
 
+def _gate_outputs(inst: GdaInstance, lam):
+    """NOR output, PURIFY plus output and PURIFY minus output of every gate, batched."""
+    (nu, nv, _), (pu, _, _) = inst.gates.nor, inst.gates.purify
+    b = lam[:, pu]
+    return nor_gate(lam[:, nu] + lam[:, nv]), purify_gate(b + 0.25), purify_gate(b - 0.25)
+
+
+def _noise_terms(inst: GdaInstance, dist_sq, lam, H):
+    """The (B, 2 #nor + #purify) noise-contribution table of ``GateTables``.
+
+    Products are formed in place, left to right as in the per-gate
+    formulas, so that a (65536, d) batch needs no larger temporaries than
+    the gradient assembly that follows.
+    """
+    (nu, nv, nw), (pu, pv, pw) = inst.gates.nor, inst.gates.purify
+    n_nor = nu.size
+    lam_p = distance_threshold_prime(dist_sq, inst.m)
+    terms = np.empty((lam.shape[0], 2 * n_nor + pu.size))
+    b = lam[:, pu]
+    to_pu = terms[:, 2 * n_nor:]
+    np.multiply(purify_gate_prime(b + 0.25), H[:, pv], out=to_pu)
+    to_pu += purify_gate_prime(b - 0.25) * H[:, pw]
+    to_pu *= lam_p[:, pu]
+    gp = nor_gate_prime(lam[:, nu] + lam[:, nv])
+    Hw = H[:, nw]
+    for col, inputs in ((0, nu), (n_nor, nv)):
+        to_in = terms[:, col:col + n_nor]
+        np.multiply(gp, lam_p[:, inputs], out=to_in)
+        to_in *= Hw
+    return terms
+
+
 def _node_aggregates(inst: GdaInstance, dist_sq, lam, H):
     """Gate values s_q and noise feedback for every vertex, batched."""
+    tables = inst.gates
     B = lam.shape[0]
     s = np.zeros((B, inst.kappa))
+    for out, (vertices, columns) in zip(_gate_outputs(inst, lam), tables.producers):
+        s[:, vertices] = out[:, columns]
+    terms = _noise_terms(inst, dist_sq, lam, H)
     noise = np.zeros((B, inst.kappa))
-    lam_p = distance_threshold_prime(dist_sq, inst.m)
-    for u, v, w in inst.pc.nor_gates:
-        a = lam[:, u] + lam[:, v]
-        s[:, w] = nor_gate(a)
-        gp = nor_gate_prime(a)
-        noise[:, u] += gp * lam_p[:, u] * H[:, w]
-        noise[:, v] += gp * lam_p[:, v] * H[:, w]
-    for u, v, w in inst.pc.purify_gates:
-        a = lam[:, u]
-        s[:, v] = purify_gate(a + 0.25)
-        s[:, w] = purify_gate(a - 0.25)
-        noise[:, u] += (purify_gate_prime(a + 0.25) * H[:, v]
-                        + purify_gate_prime(a - 0.25) * H[:, w]) * lam_p[:, u]
+    for vertices, columns in tables.noise_passes:
+        noise[:, vertices] += terms[:, columns]
     return s, noise
 
 
 def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     _, _, diff, _, lam, _, H = _batch_parts(inst, X, Y)
-    total = np.zeros(X.shape[0])
-    for u, v, w in inst.pc.nor_gates:
-        total += nor_gate(lam[:, u] + lam[:, v]) * H[:, w]
-    for u, v, w in inst.pc.purify_gates:
-        total += purify_gate(lam[:, u] + 0.25) * H[:, v]
-        total += purify_gate(lam[:, u] - 0.25) * H[:, w]
+    (_, _, nw), (_, pv, pw) = inst.gates.nor, inst.gates.purify
+    nor_out, plus, minus = _gate_outputs(inst, lam)
+    n_nor = nor_out.shape[1]
+    # One column per gate term in gate order, after a leading 0.0: the
+    # running sum along a row then adds the terms exactly as a loop would.
+    terms = np.zeros((X.shape[0], 1 + n_nor + 2 * plus.shape[1]))
+    terms[:, 1:1 + n_nor] = nor_out * H[:, nw]
+    terms[:, 1 + n_nor::2] = plus * H[:, pv]
+    terms[:, 2 + n_nor::2] = minus * H[:, pw]
+    total = np.add.accumulate(terms, axis=1)[:, -1]
     total += np.einsum("n,bqn->b", inst.M, (diff**2).sum(axis=3))
     return total
 
@@ -472,28 +578,12 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
 def diagnostics(inst: GdaInstance, p: JointPoint) -> NodeDiagnostics:
     """Per-vertex gate value, noise, link and distance summary.
 
-    The gate value is resolved through the output-gate map, so exactly one
-    term contributes per vertex (vertices without a producing gate read 0).
+    The same forward pass as the gradient at batch size 1. A vertex
+    without a producing gate reads a gate value of 0.
     """
     _check_point(inst, p)
-    kappa, n, m = inst.kappa, inst.n, inst.m
-    x = p.x.reshape(kappa, n, m)
-    y = p.y.reshape(kappa, n, m)
-    diff = x - y
-    dist_sq = np.einsum("qnm,qnm->q", diff, diff)
-    dist_l1 = np.abs(diff).sum(axis=(1, 2))
-    lam = distance_threshold(dist_sq, m)
-    dx_c = x @ inst.vi.D.T + inst.vi.c
-    H = np.einsum("qnm,qnm->q", dx_c, -diff)
-    s = np.zeros(kappa)
-    for q, (kind, gate, role) in inst.output_gate.items():
-        u, v, _w = gate
-        if kind == "nor":
-            s[q] = nor_gate(lam[u] + lam[v])
-        elif role == "plus":
-            s[q] = purify_gate(lam[u] + 0.25)
-        else:
-            s[q] = purify_gate(lam[u] - 0.25)
-    _, noise = _node_aggregates(inst, dist_sq[None, :], lam[None, :], H[None, :])
-    return NodeDiagnostics(gate_value=s, noise=noise[0], link=H,
-                           dist_sq=dist_sq, dist_l1=dist_l1, bit=lam)
+    _, _, diff, dist_sq, lam, _, H = _batch_parts(inst, p.x[None, :], p.y[None, :])
+    s, noise = _node_aggregates(inst, dist_sq, lam, H)
+    return NodeDiagnostics(gate_value=s[0], noise=noise[0], link=H[0],
+                           dist_sq=dist_sq[0], dist_l1=np.abs(diff[0]).sum(axis=(1, 2)),
+                           bit=lam[0])

@@ -211,9 +211,9 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None,
         P = vals[digits]
         X, Y = P[:, : inst.d], P[:, inst.d:]
         GX, GY = _grad_many(inst, X, Y)
-        vx = np.maximum(np.maximum(GX * (1.0 - X), -GX * X), 0.0).max(axis=1)
-        vy = np.maximum(np.maximum(-GY * (1.0 - Y), GY * Y), 0.0).max(axis=1)
-        v = np.maximum(vx, vy)
+        vx, vy = _violation_arrays(X, Y, GX, GY)
+        v = np.maximum(vx.max(axis=1), vy.max(axis=1))
+        del vx, vy  # whole chunks: not kept alive through the next chunk's gradient
         b = int(np.argmin(v))
         if v[b] < best_v:
             best_v, best_idx = float(v[b]), int(idx[b])

@@ -164,3 +164,33 @@ def test_instance_files_round_trip(workspace):
     blob = inst_path.read_text()
     back = GdaInstance.from_json_dict(json.loads(blob))
     assert json.dumps(back.to_json_dict(), indent=2, sort_keys=True) + "\n" == blob
+
+
+RING3_PC = {"kappa": 3, "nor": [[1, 2, 0]], "purify": [[0, 1, 2]]}
+VI1 = {"m": 1, "D": [[0.5]], "c": [0.2], "rho": 0.1}
+
+
+@pytest.mark.parametrize("pc, vi, code", [
+    (RING3_PC, {**VI1, "D": [[float("nan")]]}, cli.EXIT_VALIDATION),
+    (RING3_PC, {**VI1, "c": [float("nan")]}, cli.EXIT_VALIDATION),
+    (RING3_PC, {**VI1, "rho": float("inf")}, cli.EXIT_VALIDATION),
+    ({"kappa": 0, "nor": [], "purify": []}, VI1, cli.EXIT_VALIDATION),
+    ({"nor": [[1, 2, 0]], "purify": [[0, 1, 2]]}, VI1, cli.EXIT_PARSE),
+    ({**RING3_PC, "kappa": None}, VI1, cli.EXIT_PARSE),
+], ids=["nan-in-D", "nan-in-c", "infinite-rho", "kappa-0", "no-kappa-key", "null-kappa"])
+def test_malformed_build_inputs_exit_with_their_code(tmp_path, pc, vi, code):
+    pc_path, vi_path = tmp_path / "pc.json", tmp_path / "vi.json"
+    pc_path.write_text(json.dumps(pc))
+    vi_path.write_text(json.dumps(vi))
+    assert run("build", "--pc", pc_path, "--vi", vi_path, "--n", 2, "--epsilon", 1e-3,
+               "--delta", 0.5, "--out", tmp_path / "inst.json") == code
+    assert not (tmp_path / "inst.json").exists()
+
+
+def test_non_integer_copy_count_is_a_validation_error(workspace, tmp_path):
+    *_, inst_path, point, _instance = workspace
+    blob = json.loads(inst_path.read_text())
+    blob["params"]["n"] = 2.5  # truncating it would match the point's dimension
+    bad = tmp_path / "bad_inst.json"
+    bad.write_text(json.dumps(blob))
+    assert run("eval", "--instance", bad, "--point", point) == cli.EXIT_VALIDATION

@@ -132,12 +132,17 @@ def test_rejects_bad_inputs():
             fn(float("nan"))
         with pytest.raises(ValueError):
             fn(float("inf"))
+        with pytest.raises(ValueError):
+            fn(np.array([[0.3, 0.4], [0.1, np.nan]]))
     with pytest.raises(ValueError):
         distance_threshold(1.0, 0)
     with pytest.raises(ValueError):
         distance_threshold_prime(1.0, -3)
-    with pytest.raises(ValueError):
-        distance_threshold(float("nan"), 1)
+    for fn in (distance_threshold, distance_threshold_prime):
+        with pytest.raises(ValueError):
+            fn(float("nan"), 1)
+        with pytest.raises(ValueError):
+            fn(np.array([3.5, np.nan]), 1)
 
 
 def test_array_evaluation_matches_scalar():
@@ -148,3 +153,79 @@ def test_array_evaluation_matches_scalar():
     np.testing.assert_array_equal(
         distance_threshold(zz, 1), [distance_threshold(v, 1) for v in zz]
     )
+
+
+# The whole-array formulas the kernels replaced, which computed every ramp
+# on every element and then selected; the kernels now evaluate a ramp only
+# strictly inside its interval and must agree with these bit for bit.
+def whole_array(lo, hi, below, above, ramp):
+    return lambda z: np.where(z <= lo, below, np.where(z >= hi, above, ramp(z)))
+
+
+def _nor(z):
+    t = z - 0.25
+    return 128.0 * t**3 - 48.0 * t**2 + 1.0
+
+
+def _nor_d(z):
+    t = z - 0.25
+    return 384.0 * t**2 - 96.0 * t
+
+
+def _pur(z):
+    t = z - 5.0 / 12.0
+    return 144.0 * t**2 * (2.0 - 3.0 * z)
+
+
+def _pur_d(z):
+    t = z - 5.0 / 12.0
+    return 288.0 * t * (2.0 - 3.0 * z) - 432.0 * t**2
+
+
+def _dist(m):
+    return lambda z: -2.0 * (z - 3.0 * m) ** 3 + 3.0 * (z - 3.0 * m) ** 2
+
+
+def _dist_d(m):
+    return lambda z: -6.0 * (z - 3.0 * m) ** 2 + 6.0 * (z - 3.0 * m)
+
+
+KERNELS = [
+    (nor_gate, whole_array(0.25, 0.5, 1.0, 0.0, _nor), (0.25, 0.5)),
+    (nor_gate_prime, whole_array(0.25, 0.5, 0.0, 0.0, _nor_d), (0.25, 0.5)),
+    (purify_gate, whole_array(5 / 12, 7 / 12, 0.0, 1.0, _pur), (5 / 12, 7 / 12)),
+    (purify_gate_prime, whole_array(5 / 12, 7 / 12, 0.0, 0.0, _pur_d), (5 / 12, 7 / 12)),
+] + [
+    (lambda z, m=m: distance_threshold(z, m), whole_array(3 * m, 3 * m + 1, 0.0, 1.0, _dist(m)),
+     (3.0 * m, 3.0 * m + 1.0))
+    for m in (1, 2, 3)
+] + [
+    (lambda z, m=m: distance_threshold_prime(z, m),
+     whole_array(3 * m, 3 * m + 1, 0.0, 0.0, _dist_d(m)), (3.0 * m, 3.0 * m + 1.0))
+    for m in (1, 2, 3)
+]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("fn,formula,breaks", KERNELS)
+def test_kernels_match_the_whole_array_formula_bit_for_bit(fn, formula, breaks):
+    lo, hi = breaks
+    points = [0.25, 0.5, 5 / 12, 7 / 12, 3.0, 4.0, 6.0, 7.0, 9.0, 10.0, (lo + hi) / 2]
+    edges = np.array([q for b in points
+                      for q in (b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf))])
+    rng = np.random.default_rng(5)
+    arrays = [edges, edges.reshape(-1, 3), rng.uniform(lo - 0.5, hi + 0.5, 4096),
+              rng.uniform(lo, hi, (64, 17)), np.full((3, 4), lo - 1.0), np.empty((2, 0))]
+    for z in arrays:
+        got = fn(z)
+        assert isinstance(got, np.ndarray) and got.shape == z.shape
+        assert np.array_equal(_bits(got), _bits(formula(z)))
+    # a scalar in gives a float out, equal to the formula on a 0-d array
+    for z in list(edges) + list(rng.uniform(lo, hi, 64)):
+        for arg in (float(z), np.float64(z), np.array(z)):
+            got = fn(arg)
+            assert type(got) is float
+            assert _bits(got) == _bits(float(formula(np.asarray(z))))

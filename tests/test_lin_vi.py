@@ -39,6 +39,14 @@ def test_type_invariants_enforced():
         LinVIInstance(m=1, D=np.array([[2.0]]), c=np.array([0.0]), rho=0.1)
     with pytest.raises(ValueError):
         LinVIInstance(m=1, D=np.array([[0.0]]), c=np.array([0.0]), rho=0.0)
+    # NaN compares False against any bound, so it needs its own check
+    with pytest.raises(ValueError):
+        LinVIInstance(m=1, D=np.array([[np.nan]]), c=np.array([0.0]), rho=0.1)
+    with pytest.raises(ValueError):
+        LinVIInstance(m=1, D=np.array([[0.0]]), c=np.array([np.nan]), rho=0.1)
+    for rho in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            LinVIInstance(m=1, D=np.array([[0.0]]), c=np.array([0.0]), rho=rho)
 
 
 def test_endpoint_reduction_dominates_interior_moves():

@@ -30,6 +30,11 @@ def test_validate_missing_outputs():
     assert any("vertex 1" in p for p in problems)
 
 
+def test_validate_empty_circuit():
+    problems = validate_instance(PureCircuitInstance(kappa=0))
+    assert any("kappa = 0 < 1" in p for p in problems)
+
+
 def test_validate_non_distinct_and_out_of_range():
     inst = PureCircuitInstance(3, nor_gates=((0, 0, 1), (0, 1, 2), (1, 2, 5)))
     problems = validate_instance(inst)

@@ -3,8 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance, random_point
+from gdacube.gates import (
+    distance_threshold,
+    distance_threshold_prime,
+    nor_gate,
+    nor_gate_prime,
+    purify_gate,
+    purify_gate_prime,
+)
 from gdacube.lin_vi import LinVIInstance, gen_random
 from gdacube.pure_circuit import PureCircuitInstance, gen_example
 from gdacube.reduction import (
@@ -22,7 +32,7 @@ from gdacube.reduction import (
     paper_params,
     parameter_premises,
 )
-from gdacube.reduction import _f_many, _grad_many
+from gdacube.reduction import _batch_parts, _f_many, _grad_many, _node_aggregates
 
 RING3 = gen_example("ring", 3, 0)
 
@@ -77,6 +87,10 @@ def test_custom_params_validation():
         GdaParams(n=1, epsilon=0.0, delta=0.5)
     with pytest.raises(ValueError):
         GdaParams(n=1, epsilon=1e-3, delta=0.5, mode="weird")
+    for n in (4.7, float("inf"), float("nan"), "4"):
+        with pytest.raises(ValueError):
+            GdaParams(n=n, epsilon=1e-3, delta=0.5)
+    assert GdaParams(n=4.0, epsilon=1e-3, delta=0.5).n == 4
 
 
 # ------------------------------------------------------------------ building
@@ -325,6 +339,143 @@ def test_diagnostics_purify_saturation():
     assert diag.bit[0] == 1.0
     assert diag.gate_value[v] == 1.0  # purify_gate(1 + 1/4)
     assert diag.gate_value[w] == 1.0  # purify_gate(1 - 1/4)
+
+
+# ------------------------------------------- gate tables vs the per-gate loop
+
+def loop_node_aggregates(inst, dist_sq, lam, H):
+    """Reference: gate values and noise, one gate at a time in gate order."""
+    B = lam.shape[0]
+    s = np.zeros((B, inst.kappa))
+    noise = np.zeros((B, inst.kappa))
+    lam_p = distance_threshold_prime(dist_sq, inst.m)
+    for u, v, w in inst.pc.nor_gates:
+        a = lam[:, u] + lam[:, v]
+        s[:, w] = nor_gate(a)
+        gp = nor_gate_prime(a)
+        noise[:, u] += gp * lam_p[:, u] * H[:, w]
+        noise[:, v] += gp * lam_p[:, v] * H[:, w]
+    for u, v, w in inst.pc.purify_gates:
+        a = lam[:, u]
+        s[:, v] = purify_gate(a + 0.25)
+        s[:, w] = purify_gate(a - 0.25)
+        noise[:, u] += (purify_gate_prime(a + 0.25) * H[:, v]
+                        + purify_gate_prime(a - 0.25) * H[:, w]) * lam_p[:, u]
+    return s, noise
+
+
+def loop_f_many(inst, X, Y):
+    """Reference objective: gate terms added one gate at a time."""
+    _, _, diff, _, lam, _, H = _batch_parts(inst, X, Y)
+    total = np.zeros(X.shape[0])
+    for u, v, w in inst.pc.nor_gates:
+        total += nor_gate(lam[:, u] + lam[:, v]) * H[:, w]
+    for u, v, w in inst.pc.purify_gates:
+        total += purify_gate(lam[:, u] + 0.25) * H[:, v]
+        total += purify_gate(lam[:, u] - 0.25) * H[:, w]
+    total += np.einsum("n,bqn->b", inst.M, (diff**2).sum(axis=3))
+    return total
+
+
+def loop_diagnostics(inst, p):
+    """Reference diagnostics from per-point formulas and the loop above at B = 1."""
+    x = p.x.reshape(inst.kappa, inst.n, inst.m)
+    y = p.y.reshape(inst.kappa, inst.n, inst.m)
+    diff = x - y
+    dist_sq = np.einsum("qnm,qnm->q", diff, diff)
+    lam = distance_threshold(dist_sq, inst.m)
+    H = np.einsum("qnm,qnm->q", x @ inst.vi.D.T + inst.vi.c, -diff)
+    s, noise = loop_node_aggregates(inst, dist_sq[None, :], lam[None, :], H[None, :])
+    return s[0], noise[0], H, dist_sq, np.abs(diff).sum(axis=(1, 2)), lam
+
+
+def bit_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# Vertex 0 receives five noise terms (five scatter passes), vertices 1
+# and 3 are each written by NOR and PURIFY gates several times over, and
+# vertices 0, 2 and 4 have no producer.
+TANGLED = PureCircuitInstance(
+    5, nor_gates=((0, 0, 1), (0, 1, 1), (0, 2, 3)),
+    purify_gates=((0, 1, 3), (2, 3, 1)))
+
+
+@st.composite
+def loose_circuits(draw):
+    """Circuits built with validate=False: any wiring inside [0, kappa)."""
+    kappa = draw(st.integers(1, 8))
+    gate = st.tuples(*[st.integers(0, kappa - 1)] * 3)
+    return PureCircuitInstance(kappa, tuple(draw(st.lists(gate, max_size=10))),
+                               tuple(draw(st.lists(gate, max_size=6))))
+
+
+def batch_near_ramps(inst, rng, B):
+    """Random rows; every other row sets each block distance near the ramp 3m..3m+1."""
+    X = rng.uniform(0, 1, (B, inst.d))
+    Y = rng.uniform(0, 1, (B, inst.d))
+    k = inst.n * inst.m
+    target = rng.uniform(2.8 * inst.m, 3.4 * inst.m + 1, (B, inst.kappa, 1))
+    shift = np.sqrt(np.minimum(target / k, 1.0))
+    near = shift + (1.0 - shift) * rng.uniform(0, 1, (B, inst.kappa, k))
+    X[::2] = near.reshape(B, inst.d)[::2]
+    Y[::2] = (near - shift).reshape(B, inst.d)[::2]
+    return X, Y
+
+
+@settings(max_examples=60, deadline=None)
+@given(pc=loose_circuits(), m=st.integers(1, 3), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(pc=TANGLED, m=1, n=4, seed=0)
+@example(pc=gen_example("ring", 16, 0), m=2, n=8, seed=1)
+@example(pc=gen_example("purify_tree", 9, 3), m=1, n=4, seed=2)
+def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
+    inst = build_instance(pc, gen_random(m, seed % 97), GdaParams(n=n, epsilon=1e-3, delta=0.5),
+                          validate=False)
+    rng = np.random.default_rng(seed)
+    for B in (1, 7):
+        # free-standing levels inside the ramps make every noise term nonzero,
+        # so a sum taken in another order shows in the last bits
+        synthetic = (3 * m + rng.uniform(-0.2, 1.2, (B, pc.kappa)),
+                     rng.uniform(0.0, 0.9, (B, pc.kappa)), rng.normal(size=(B, pc.kappa)))
+        got = _node_aggregates(inst, *synthetic)
+        want = loop_node_aggregates(inst, *synthetic)
+        assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+        X, Y = batch_near_ramps(inst, rng, B)
+        _, _, _, dist_sq, lam, _, H = _batch_parts(inst, X, Y)
+        got = _node_aggregates(inst, dist_sq, lam, H)
+        want = loop_node_aggregates(inst, dist_sq, lam, H)
+        assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+        assert bit_equal(_f_many(inst, X, Y), loop_f_many(inst, X, Y))
+        for b in range(B):
+            p = JointPoint(X[b], Y[b])
+            diag = diagnostics(inst, p)
+            got = (diag.gate_value, diag.noise, diag.link, diag.dist_sq, diag.dist_l1, diag.bit)
+            want = loop_diagnostics(inst, p)
+            assert all(bit_equal(g, w) for g, w in zip(got, want))
+
+
+def test_gate_tables_resolve_repeated_producers_at_compile_time():
+    tables = build_instance(TANGLED, gen_random(1, 0), GdaParams(n=1, epsilon=1e-3, delta=0.5),
+                            validate=False).gates
+    owner = {}
+    for table, (vertices, columns) in enumerate(tables.producers):
+        for q, col in zip(vertices.tolist(), columns.tolist()):
+            assert q not in owner
+            owner[q] = (table, col)
+    # last producer in gate order: NOR gates, then each PURIFY gate's plus
+    # output before its minus output; vertices 0, 2 and 4 have no producer
+    assert owner == {1: (2, 1), 3: (1, 1)}
+    assert len(tables.noise_passes) == 5
+    for vertices, _columns in tables.noise_passes:
+        assert len(set(vertices.tolist())) == len(vertices)
+
+
+def test_gate_tables_refuse_vertices_outside_the_circuit():
+    pc = PureCircuitInstance(3, nor_gates=((0, 1, 3),))
+    with pytest.raises(ValidationError):
+        build_instance(pc, gen_random(1, 0), GdaParams(n=1, epsilon=1e-3, delta=0.5),
+                       validate=False)
 
 
 # ------------------------------------------------------------------- JSON IO
