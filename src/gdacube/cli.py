@@ -188,7 +188,7 @@ def _run_solver(inst, args, p0_seed: int):
         }, point, report
     rng = np.random.default_rng(p0_seed)
     p0 = JointPoint(rng.uniform(0, 1, inst.d), rng.uniform(0, 1, inst.d))
-    cfg = SolverConfig(method=args.method, step=args.step, max_iters=args.iters,
+    cfg = SolverConfig(step=args.step, max_iters=args.iters,
                        restarts=args.restarts, seed=args.seed,
                        target=args.eps if args.eps is not None else 0.0)
     solve = projected_gda if args.method == "gda" else extragradient
@@ -341,7 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=["gda", "extragradient", "grid"],
                    default="extragradient")
-    p.add_argument("--step", type=float)
+    p.add_argument("--step", type=float,
+                   help="step size; omitted, it is 1/L from the instance bounds, which "
+                        "barely moves the iterate (L is about 9.7e5 on ring-4 with n=4)")
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

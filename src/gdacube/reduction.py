@@ -110,6 +110,8 @@ class GdaParams:
             object.__setattr__(self, "n", int(n))
             object.__setattr__(self, "epsilon", float(self.epsilon))
             object.__setattr__(self, "delta", float(self.delta))
+            if not (math.isfinite(self.epsilon) and math.isfinite(self.delta)):
+                raise ValueError("epsilon and delta must be finite")
         if not (self.n >= 1 and self.epsilon > 0 and self.delta > 0):
             raise ValueError("need n >= 1, epsilon > 0, delta > 0")
 
@@ -561,17 +563,30 @@ def eval_grad_direct(inst: GdaInstance, p: JointPoint) -> tuple[np.ndarray, np.n
     return gx.reshape(inst.d), gy.reshape(inst.d)
 
 
+# finite_diff_grad perturbs this many matrix elements at a time at most.
+FD_CHUNK_ELEMS = 1 << 20
+
+
 def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
-    """Central-difference gradient of the objective, as an independent oracle."""
+    """Central-difference gradient of the objective, as an independent oracle.
+
+    The 2k perturbed copies of the k = 2d joint coordinates are evaluated
+    in chunks of at most ``FD_CHUNK_ELEMS`` elements, so memory stays
+    O(chunk) rather than O(d^2).
+    """
     _check_point(inst, p)
     base = np.concatenate([p.x, p.y])
     k = base.size
-    P = np.repeat(base[None, :], 2 * k, axis=0)
-    idx = np.arange(k)
-    P[2 * idx, idx] += h
-    P[2 * idx + 1, idx] -= h
-    vals = _f_many(inst, P[:, : inst.d], P[:, inst.d:])
-    g = (vals[0::2] - vals[1::2]) / (2.0 * h)
+    g = np.empty(k)
+    per_chunk = max(1, FD_CHUNK_ELEMS // (2 * k))  # coordinates per chunk
+    for start in range(0, k, per_chunk):
+        idx = np.arange(start, min(start + per_chunk, k))
+        rows = np.arange(idx.size)
+        P = np.repeat(base[None, :], 2 * idx.size, axis=0)
+        P[2 * rows, idx] += h
+        P[2 * rows + 1, idx] -= h
+        vals = _f_many(inst, P[:, : inst.d], P[:, inst.d:])
+        g[idx] = (vals[0::2] - vals[1::2]) / (2.0 * h)
     return g[: inst.d], g[inst.d:]
 
 

@@ -9,6 +9,7 @@ never the last one: the dynamic has no potential and cycles readily.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -51,7 +52,6 @@ class StationarityReport:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "extragradient"
     step: float | None = None  # defaults to 1/L from the instance bounds
     max_iters: int = 1000
     restarts: int = 1
@@ -59,8 +59,8 @@ class SolverConfig:
     target: float = 0.0
 
     def __post_init__(self):
-        if self.step is not None and not self.step > 0:
-            raise ValueError("step must be positive")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step!r}")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be positive")
 
@@ -103,63 +103,136 @@ def check_stationary(inst: GdaInstance, p: JointPoint, eps: float) -> Stationari
                               passed=bool(worst <= eps))
 
 
-def _max_violation(x, y, gx, gy) -> float:
-    vx, vy = _violation_arrays(x, y, gx, gy)
-    return float(max(vx.max(), vy.max()))
+def _row_violations(X, Y, GX, GY) -> np.ndarray:
+    """Worst endpoint violation of each row, ``max(vx.max(), vy.max())`` per row."""
+    vx, vy = _violation_arrays(X, Y, GX, GY)
+    vx, vy = vx.max(axis=1), vy.max(axis=1)
+    return np.where(vy > vx, vy, vx)
 
 
-def _grad_at(inst, x, y):
-    GX, GY = _grad_many(inst, x[None, :], y[None, :])
-    return GX[0], GY[0]
+# Restarts run as the rows of one batch, in groups of at most this many
+# elements per (rows, d) array, so memory stays bounded whatever the count.
+RESTART_GROUP_ELEMS = 1 << 18
+
+
+class _Group:
+    """Per-row outcome of one group of restarts advanced in lockstep.
+
+    ``marks[r, j]`` is row r's best violation after iteration j * stride.
+    ``stop`` is the first row that reached the target or went non-finite
+    (``failed``); rows after it were dropped. It is None if every row ran
+    to the iteration cap without reaching the target.
+    """
+
+    def __init__(self, X, Y, max_iters: int, stride: int):
+        rows = X.shape[0]
+        self.steps = np.full(rows, max_iters)
+        self.best_v = np.full(rows, np.inf)
+        self.best_x, self.best_y = X.copy(), Y.copy()
+        self.marks = np.full((rows, len(range(0, max_iters, stride))), np.nan)
+        self.stop: int | None = None
+        self.failed = False
+
+
+def _run_group(inst, X, Y, cfg: SolverConfig, eta: float, extrapolate: bool,
+               stride: int) -> _Group:
+    out = _Group(X, Y, cfg.max_iters, stride)
+    live = np.arange(X.shape[0])  # rows still running, in restart order
+
+    def consider(GX, GY):
+        v = _row_violations(X, Y, GX, GY)
+        better = v < out.best_v[live]
+        out.best_v[live[better]] = v[better]
+        out.best_x[live[better]] = X[better]
+        out.best_y[live[better]] = Y[better]
+
+    def stop_at(hit, it, failed):
+        # the first flagged row ends here and every later row is dropped
+        nonlocal live, X, Y
+        r = int(live[np.argmax(hit)])
+        out.steps[r], out.stop, out.failed = it, r, failed
+        keep = live < r
+        live, X, Y = live[keep], X[keep], Y[keep]
+        return keep
+
+    for it in range(cfg.max_iters):
+        if live.size == 0:
+            break
+        GX, GY = _grad_many(inst, X, Y)
+        consider(GX, GY)
+        if it % stride == 0:
+            out.marks[live, it // stride] = out.best_v[live]
+        hit = out.best_v[live] <= cfg.target
+        if hit.any():
+            keep = stop_at(hit, it, failed=False)
+            if not live.size:
+                break
+            GX, GY = GX[keep], GY[keep]
+        if extrapolate:
+            XH = np.clip(X + eta * GX, 0.0, 1.0)
+            YH = np.clip(Y - eta * GY, 0.0, 1.0)
+            GX, GY = _grad_many(inst, XH, YH)
+        X = np.clip(X + eta * GX, 0.0, 1.0)
+        Y = np.clip(Y - eta * GY, 0.0, 1.0)
+        bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
+        if bad.any():
+            stop_at(bad, it, failed=True)
+    else:
+        if live.size:
+            # iteration cap: score the final iterates too
+            consider(*_grad_many(inst, X, Y))
+            hit = out.best_v[live] <= cfg.target
+            if hit.any():
+                out.stop = int(live[np.argmax(hit)])
+                out.failed = False
+    return out
 
 
 def _drive(inst: GdaInstance, p0: JointPoint, cfg: SolverConfig, extrapolate: bool) -> SolverResult:
+    """Run every restart and keep the best iterate seen.
+
+    Restart 0 starts at ``p0`` and restart r at a point drawn from the r-th
+    child of ``SeedSequence(cfg.seed)``. Restarts advance together as the
+    rows of one batch, group by group, with one gradient call per iteration
+    (two with extrapolation). The result is that of running them one after
+    another and stopping at the first restart that reaches ``cfg.target``:
+    each row keeps its own best iterate (the first of equal violations),
+    rows after the first to reach the target are dropped, and the trace is
+    rebuilt in restart order.
+    """
     eta = cfg.step if cfg.step is not None else 1.0 / inst.bounds.L
-    child_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    seeds = np.random.SeedSequence(cfg.seed)
     best_x, best_y = p0.x.copy(), p0.y.copy()
     best_v = np.inf
     trace: list[tuple[int, float]] = []
     stride = max(1, cfg.max_iters // 10)
     total = 0
+    group = max(1, RESTART_GROUP_ELEMS // inst.d)
 
-    def consider(x, y, gx, gy):
-        nonlocal best_v, best_x, best_y
-        v = _max_violation(x, y, gx, gy)
-        if v < best_v:
-            best_v = v
-            best_x, best_y = x.copy(), y.copy()
-        return v
-
-    for r in range(cfg.restarts):
-        if r == 0:
-            x, y = p0.x.copy(), p0.y.copy()
-        else:
-            rng = np.random.default_rng(child_seeds[r])
-            x, y = rng.uniform(0, 1, inst.d), rng.uniform(0, 1, inst.d)
-        for it in range(cfg.max_iters):
-            gx, gy = _grad_at(inst, x, y)
-            consider(x, y, gx, gy)
-            if it % stride == 0:
-                trace.append((total, best_v))
-            if best_v <= cfg.target:
-                break
-            if extrapolate:
-                xh = np.clip(x + eta * gx, 0.0, 1.0)
-                yh = np.clip(y - eta * gy, 0.0, 1.0)
-                gxh, gyh = _grad_at(inst, xh, yh)
-                x = np.clip(x + eta * gxh, 0.0, 1.0)
-                y = np.clip(y - eta * gyh, 0.0, 1.0)
+    for first in range(0, cfg.restarts, group):
+        rows = range(first, min(first + group, cfg.restarts))
+        X, Y = np.empty((len(rows), inst.d)), np.empty((len(rows), inst.d))
+        # successive spawns continue the child count: these are children
+        # first, first + 1, ... of the seed, as in one spawn(cfg.restarts)
+        for i, (r, child) in enumerate(zip(rows, seeds.spawn(len(rows)))):
+            if r == 0:
+                X[i], Y[i] = p0.x, p0.y
             else:
-                x = np.clip(x + eta * gx, 0.0, 1.0)
-                y = np.clip(y - eta * gy, 0.0, 1.0)
-            if not (np.isfinite(x).all() and np.isfinite(y).all()):
-                raise FloatingPointError("non-finite iterate; reduce the step size")
-            total += 1
-        else:
-            # iteration cap: score the final iterate too
-            gx, gy = _grad_at(inst, x, y)
-            consider(x, y, gx, gy)
-        if best_v <= cfg.target:
+                rng = np.random.default_rng(child)
+                X[i], Y[i] = rng.uniform(0, 1, inst.d), rng.uniform(0, 1, inst.d)
+        g = _run_group(inst, X, Y, cfg, eta, extrapolate, stride)
+        if g.failed:
+            raise FloatingPointError("non-finite iterate; reduce the step size")
+        for i in range(len(rows) if g.stop is None else g.stop + 1):
+            steps = int(g.steps[i])
+            for j, it in enumerate(range(0, min(steps + 1, cfg.max_iters), stride)):
+                v = float(g.marks[i, j])
+                trace.append((total + it, v if v < best_v else best_v))
+            total += steps
+            if g.best_v[i] < best_v:
+                best_v = float(g.best_v[i])
+                best_x, best_y = g.best_x[i].copy(), g.best_y[i].copy()
+        if g.stop is not None:
             break
     trace.append((total, best_v))
     point = JointPoint(best_x, best_y)
@@ -193,6 +266,8 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None,
     Returns the point minimizing the maximum violation; exact ties go to
     the lexicographically smallest grid point (the scan is ordered).
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"grid spacing h must be finite and positive, got {h!r}")
     k = round(1.0 / h)
     if k < 1 or abs(k * h - 1.0) > 1e-9:
         raise ValueError("h must evenly divide [0, 1]")

@@ -194,3 +194,32 @@ def test_non_integer_copy_count_is_a_validation_error(workspace, tmp_path):
     bad = tmp_path / "bad_inst.json"
     bad.write_text(json.dumps(blob))
     assert run("eval", "--instance", bad, "--point", point) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("epsilon, delta", [("inf", 0.5), (1e-3, "inf"), ("inf", "inf")])
+def test_infinite_epsilon_or_delta_is_a_validation_error(workspace, tmp_path, capsys,
+                                                         epsilon, delta):
+    _tmp, pc, vi, *_ = workspace
+    out = tmp_path / "inf_inst.json"
+    assert run("build", "--pc", pc, "--vi", vi, "--n", 2, "--epsilon", epsilon,
+               "--delta", delta, "--out", out) == cli.EXIT_VALIDATION
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("h", [0, -0.5, "inf", "nan"])
+def test_bad_grid_spacing_is_a_validation_error(workspace, capsys, h):
+    *_, inst, _point, _instance = workspace
+    assert run("solve", "--instance", inst, "--method", "grid", "--h", h) == cli.EXIT_VALIDATION
+    assert run("pipeline", "--method", "grid", "--h", h, "--n", 1) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("grid spacing h must be finite and positive") == 2
+
+
+@pytest.mark.parametrize("step", ["inf", "nan", 0, -0.1])
+def test_bad_step_is_a_validation_error(workspace, capsys, step):
+    *_, inst, _point, _instance = workspace
+    assert run("solve", "--instance", inst, "--step", step, "--iters", 5) == cli.EXIT_VALIDATION
+    assert run("pipeline", "--step", step, "--iters", 5) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("step must be finite and positive") == 2

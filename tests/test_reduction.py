@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from gdacube.reduction import (
     paper_params,
     parameter_premises,
 )
+from gdacube import reduction
 from gdacube.reduction import _batch_parts, _f_many, _grad_many, _node_aggregates
 
 RING3 = gen_example("ring", 3, 0)
@@ -91,6 +93,9 @@ def test_custom_params_validation():
         with pytest.raises(ValueError):
             GdaParams(n=n, epsilon=1e-3, delta=0.5)
     assert GdaParams(n=4.0, epsilon=1e-3, delta=0.5).n == 4
+    for eps, delta in ((float("inf"), 0.5), (1e-3, float("inf")), (float("inf"),) * 2):
+        with pytest.raises(ValueError, match="finite"):
+            GdaParams(n=2, epsilon=eps, delta=delta)
 
 
 # ------------------------------------------------------------------ building
@@ -251,6 +256,46 @@ def test_gradient_matches_finite_differences(name, shape_instances):
             for got, want in ((gx, fx), (gy, fy)):
                 tol = np.maximum(1e-5 * np.abs(got), 1e-8)
                 assert np.all(np.abs(got - want) <= tol)
+
+
+def _unchunked_finite_diff(inst, p, h=1e-6):
+    """All 2k perturbed copies in one (2k, k) matrix: the O(d^2) reference."""
+    base = np.concatenate([p.x, p.y])
+    k = base.size
+    P = np.repeat(base[None, :], 2 * k, axis=0)
+    idx = np.arange(k)
+    P[2 * idx, idx] += h
+    P[2 * idx + 1, idx] -= h
+    vals = _f_many(inst, P[:, : inst.d], P[:, inst.d:])
+    g = (vals[0::2] - vals[1::2]) / (2.0 * h)
+    return g[: inst.d], g[inst.d:]
+
+
+# k = 2d = 192 joint coordinates, 2k = 384 elements per coordinate: chunks of
+# 1, 7 (a ragged last chunk), 64 and all 192 coordinates
+@pytest.mark.parametrize("elems", [384, 7 * 384, 64 * 384, 1 << 20])
+def test_finite_diff_chunks_match_one_batch(shape_instances, monkeypatch, elems):
+    inst = shape_instances["tree6-m2-n8"]
+    monkeypatch.setattr(reduction, "FD_CHUNK_ELEMS", elems)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        p = random_point(inst, rng)
+        for got, want in zip(finite_diff_grad(inst, p), _unchunked_finite_diff(inst, p)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_finite_diff_memory_is_bounded():
+    # d = 1024: the unchunked (4d, 2d) batch and its temporaries need ~170 MB
+    inst = build_instance(gen_example("purify_tree", 64, 1), gen_random(2, 2),
+                          GdaParams(n=8, epsilon=1e-3, delta=0.25))
+    p = random_point(inst, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        finite_diff_grad(inst, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("name", ["ring3-m1-n1", "ring3-m2-n4", "tree6-m2-n8"])

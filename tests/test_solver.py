@@ -14,6 +14,7 @@ from gdacube.reduction import (
     build_instance,
     eval_grad,
 )
+from gdacube import solver
 from gdacube.solver import (
     SolverConfig,
     check_stationary,
@@ -153,6 +154,9 @@ def test_grid_search_caps_and_guards():
         grid_search(inst, h=0.5)
     with pytest.raises(ValueError):
         grid_search(make_instance("ring3-m1-n1"), h=0.3)
+    for h in (0.0, -0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            grid_search(make_instance("ring3-m1-n1"), h=h)
 
 
 def test_grid_search_cap_env_override(monkeypatch):
@@ -165,9 +169,198 @@ def test_grid_search_cap_env_override(monkeypatch):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(step=0.0)
+    for step in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(step=step)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
+
+
+# ------------------------------------------------- batched restarts vs reference
+
+def _sequential_drive(inst, p0, cfg, extrapolate):
+    """The restarts run one after another at batch size 1: the reference
+    that the batched ``_drive`` must reproduce bit for bit."""
+    eta = cfg.step if cfg.step is not None else 1.0 / inst.bounds.L
+    child_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    best_x, best_y = p0.x.copy(), p0.y.copy()
+    best_v = np.inf
+    trace = []
+    stride = max(1, cfg.max_iters // 10)
+    total = 0
+
+    def grad_at(x, y):
+        GX, GY = solver._grad_many(inst, x[None, :], y[None, :])
+        return GX[0], GY[0]
+
+    def consider(x, y, gx, gy):
+        nonlocal best_v, best_x, best_y
+        vx, vy = solver._violation_arrays(x, y, gx, gy)
+        v = float(max(vx.max(), vy.max()))
+        if v < best_v:
+            best_v = v
+            best_x, best_y = x.copy(), y.copy()
+
+    for r in range(cfg.restarts):
+        if r == 0:
+            x, y = p0.x.copy(), p0.y.copy()
+        else:
+            rng = np.random.default_rng(child_seeds[r])
+            x, y = rng.uniform(0, 1, inst.d), rng.uniform(0, 1, inst.d)
+        for it in range(cfg.max_iters):
+            gx, gy = grad_at(x, y)
+            consider(x, y, gx, gy)
+            if it % stride == 0:
+                trace.append((total, best_v))
+            if best_v <= cfg.target:
+                break
+            if extrapolate:
+                xh = np.clip(x + eta * gx, 0.0, 1.0)
+                yh = np.clip(y - eta * gy, 0.0, 1.0)
+                gxh, gyh = grad_at(xh, yh)
+                x = np.clip(x + eta * gxh, 0.0, 1.0)
+                y = np.clip(y - eta * gyh, 0.0, 1.0)
+            else:
+                x = np.clip(x + eta * gx, 0.0, 1.0)
+                y = np.clip(y - eta * gy, 0.0, 1.0)
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                raise FloatingPointError("non-finite iterate; reduce the step size")
+            total += 1
+        else:
+            gx, gy = grad_at(x, y)
+            consider(x, y, gx, gy)
+        if best_v <= cfg.target:
+            break
+    trace.append((total, best_v))
+    point = JointPoint(best_x, best_y)
+    return solver.SolverResult(point=point, report=check_stationary(inst, point, cfg.target),
+                               trace=tuple(trace), iterations=total,
+                               method="extragradient" if extrapolate else "gda",
+                               seed=cfg.seed)
+
+
+def _outcome(fn):
+    try:
+        return json.dumps(fn().to_json_dict(), sort_keys=True)
+    except FloatingPointError as e:
+        return f"raised {e}"
+
+
+def _assert_matches_reference(inst, p0, cfg):
+    for solve, extrapolate in ((projected_gda, False), (extragradient, True)):
+        want = _outcome(lambda: _sequential_drive(inst, p0, cfg, extrapolate))
+        assert _outcome(lambda: solve(inst, p0, cfg)) == want
+
+
+def _restart_starts(inst, p0, seed, restarts):
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    starts = [p0]
+    for child in seeds[1:]:
+        rng = np.random.default_rng(child)
+        starts.append(JointPoint(rng.uniform(0, 1, inst.d), rng.uniform(0, 1, inst.d)))
+    return starts
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3, 4, 5])
+def test_batched_restarts_match_sequential_loop(shape_instances, restarts):
+    inst = shape_instances["ring3-m2-n4"]
+    p0 = random_point(inst, np.random.default_rng(11))
+    # a target that is never reached
+    _assert_matches_reference(inst, p0, SolverConfig(step=0.05, max_iters=37,
+                                                     restarts=restarts, seed=3))
+    # one that restart 0 reaches
+    first = check_stationary(inst, p0, eps=0.0).max_violation
+    _assert_matches_reference(inst, p0, SolverConfig(step=0.05, max_iters=37,
+                                                     restarts=restarts, seed=3,
+                                                     target=first * 0.9))
+
+
+def _middle_target(inst, p0, base, restarts):
+    """The first restart after restart 0 whose best beats every earlier one,
+    and a target just below the earlier bests: the sequential loop stops in
+    that restart, at its first iterate better than every earlier restart."""
+    best = [_sequential_drive(inst, s, SolverConfig(**base), True).report.max_violation
+            for s in _restart_starts(inst, p0, base["seed"], restarts)]
+    row = next(r for r in range(1, restarts) if best[r] < min(best[:r]))
+    return row, float(np.nextafter(min(best[:row]), 0.0))
+
+
+def _assert_stops_in_row(inst, p0, cfg, row):
+    res = extragradient(inst, p0, cfg)
+    assert row * cfg.max_iters <= res.iterations < (row + 1) * cfg.max_iters + 1
+
+
+@pytest.mark.parametrize("name, corner, seed", [("ring3-m2-n4", False, 3),
+                                               ("tree6-m2-n8", True, 1)])
+def test_batched_restarts_stop_in_a_middle_row(shape_instances, name, corner, seed):
+    # from the corner start, restart 1 passes restart 0's best with 15 of
+    # its 40 iterations left, while restart 0 is still improving
+    inst = shape_instances[name]
+    if corner:
+        p0 = JointPoint(np.ones(inst.d), np.zeros(inst.d))
+    else:
+        p0 = random_point(inst, np.random.default_rng(11))
+    base = dict(step=0.05, max_iters=40, seed=seed)
+    row, target = _middle_target(inst, p0, base, 5)
+    cfg = SolverConfig(**base, restarts=5, target=target)
+    _assert_stops_in_row(inst, p0, cfg, row)
+    _assert_matches_reference(inst, p0, cfg)
+
+
+@pytest.mark.parametrize("seed, row", [(9, 2), (11, 3)])
+def test_batched_restarts_across_groups(shape_instances, monkeypatch, seed, row):
+    inst = shape_instances["tree6-m2-n8"]
+    monkeypatch.setattr(solver, "RESTART_GROUP_ELEMS", 2 * inst.d)  # two rows a group
+    p0 = random_point(inst, np.random.default_rng(4))
+    base = dict(step=0.02, max_iters=25, seed=seed)
+    # the target is first reached in the second group, after a whole first group
+    found, target = _middle_target(inst, p0, base, 5)
+    assert found == row
+    for cfg in (SolverConfig(**base, restarts=5),
+                SolverConfig(**base, restarts=5, target=target)):
+        _assert_matches_reference(inst, p0, cfg)
+    _assert_stops_in_row(inst, p0, SolverConfig(**base, restarts=5, target=target), row)
+
+
+def test_batched_restarts_keep_the_first_of_equal_bests():
+    # a huge step clips both players onto the same face in one step, so every
+    # restart reaches violation 0 exactly, restart 0 at its stationary start
+    # and the others at a corner of the box; the earliest restart's point wins
+    inst = regularizer_only_instance()
+    p0 = JointPoint(np.array([0.5]), np.array([0.5]))
+    cfg = SolverConfig(step=1e6, max_iters=5, restarts=3, seed=1, target=-1.0)
+    for start in _restart_starts(inst, p0, cfg.seed, cfg.restarts)[1:]:
+        alone = projected_gda(inst, start, SolverConfig(step=1e6, max_iters=5, target=-1.0))
+        assert alone.report.max_violation == 0.0 and alone.point.x[0] in (0.0, 1.0)
+    res = projected_gda(inst, p0, cfg)
+    assert res.point.x[0] == 0.5 and res.point.y[0] == 0.5
+    assert res.iterations == 3 * cfg.max_iters
+    _assert_matches_reference(inst, p0, cfg)
+
+
+def test_batched_restarts_non_finite_rows(shape_instances, monkeypatch):
+    # rows whose first coordinate leaves [0.3, 0.7] get a NaN gradient and so
+    # a non-finite iterate; whether that raises depends on whether an earlier
+    # restart reaches the target first, as in the sequential loop. Plain
+    # ascent-descent only: with extrapolation the NaN would reach the gates
+    # at the extrapolated point, which refuse it before any iterate check.
+    inst = shape_instances["ring3-m2-n4"]
+    grad_many = solver._grad_many
+
+    def poisoned(inst, X, Y):
+        GX, GY = grad_many(inst, X, Y)
+        GX[(X[:, 0] < 0.3) | (X[:, 0] > 0.7)] = np.nan
+        return GX, GY
+
+    monkeypatch.setattr(solver, "_grad_many", poisoned)
+    p0 = JointPoint(np.full(inst.d, 0.5), np.full(inst.d, 0.5))
+    outcomes = set()
+    for seed in range(6):
+        for target in (0.0, 1.0):
+            cfg = SolverConfig(step=0.05, max_iters=30, restarts=4, seed=seed, target=target)
+            want = _outcome(lambda: _sequential_drive(inst, p0, cfg, False))
+            assert _outcome(lambda: projected_gda(inst, p0, cfg)) == want
+            outcomes.add(want.startswith("raised"))
+    assert outcomes == {True, False}
