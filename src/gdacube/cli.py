@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -141,18 +142,20 @@ def cmd_eval(args) -> int:
 
 
 def _grad_check(inst: GdaInstance, points: int, seed: int, fd_step: float) -> dict:
+    if points < 1:
+        raise ValueError(f"grad-check needs at least one point, got {points}")
     rng = np.random.default_rng(seed)
-    worst_dual = 0.0
-    worst_fd = 0.0
+    dual, fd_ratio = [], []
     for _ in range(points):
         p = JointPoint(rng.uniform(0, 1, inst.d), rng.uniform(0, 1, inst.d))
         ga = np.concatenate(eval_grad(inst, p))
         gb = np.concatenate(eval_grad_direct(inst, p))
         scale = max(np.abs(ga).max(), np.abs(gb).max(), 1.0)
-        worst_dual = max(worst_dual, float(np.abs(ga - gb).max() / scale))
+        dual.append(np.abs(ga - gb).max() / scale)
         fd = np.concatenate(finite_diff_grad(inst, p, h=fd_step))
-        ratio = np.abs(ga - fd) / np.maximum(1e-5 * np.abs(ga), 1e-8)
-        worst_fd = max(worst_fd, float(ratio.max()))
+        fd_ratio.append((np.abs(ga - fd) / np.maximum(1e-5 * np.abs(ga), 1e-8)).max())
+    # np.max keeps a NaN, so a NaN error fails the comparisons below
+    worst_dual, worst_fd = float(np.max(dual)), float(np.max(fd_ratio))
     return {
         "points": points,
         "seed": seed,
@@ -172,7 +175,14 @@ def cmd_grad_check(args) -> int:
     return EXIT_OK
 
 
+def _check_eps(eps: float | None):
+    """A target (``solve``, ``pipeline``) or audited (``audit``) violation."""
+    if eps is not None and not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
+
+
 def _run_solver(inst, args, p0_seed: int):
+    _check_eps(args.eps)
     if args.method == "grid":
         if args.h is None:
             raise _ParseFailure("--h is required for the grid method")
@@ -216,6 +226,7 @@ def cmd_decode(args) -> int:
 def cmd_audit(args) -> int:
     inst = _load_instance(args.instance)
     p = _load_point(args.point, inst)
+    _check_eps(args.eps)
     audit = lemma_audit(inst, p, args.eps, rho=args.rho)
     payload = {"lemmas": audit.to_json_dict()}
     code = EXIT_OK
@@ -246,6 +257,7 @@ def cmd_pipeline(args) -> int:
     t_solve = time.perf_counter()
 
     outcome = decode(inst, point)
+    t_decode = time.perf_counter()
     achieved = report.max_violation
     audit = lemma_audit(inst, point, achieved)
     try:
@@ -281,7 +293,8 @@ def cmd_pipeline(args) -> int:
         run_report["timings_sec"] = {
             "build": t_build - t0,
             "solve": t_solve - t_build,
-            "decode_audit": t_done - t_solve,
+            "decode": t_decode - t_solve,
+            "audit": t_done - t_decode,
         }
     _dump(run_report, args.out)
     print(f"pipeline: violation {achieved!r}, decode {outcome.kind}, "

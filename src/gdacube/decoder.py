@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lin_vi import SlackReport, check_solution
+from .lin_vi import SlackReport, check_solution, resolve_rho
 from .pure_circuit import Assignment, GateViolation, Trit, verify_assignment
 from .reduction import GdaInstance, JointPoint, diagnostics
 from .solver import check_stationary
@@ -97,23 +97,42 @@ def _violation_dict(v: GateViolation) -> dict:
     return {"kind": v.kind, "index": v.index, "gate": list(v.gate), "reason": v.reason}
 
 
+def _copy_slacks(inst: GdaInstance, p: JointPoint) -> np.ndarray:
+    """Worst LinVI slack of every copy x_i^q, flat in scan order (q, then i).
+
+    Equal bit for bit to ``check_solution(inst.vi, x_i^q).worst`` per copy:
+    the stacked mat-vec ``D @ z`` reproduces the per-row product, while
+    ``X @ D.T`` can round differently in the last bit.
+    """
+    vi = inst.vi
+    X = p.x.reshape(inst.kappa * inst.n, inst.m)
+    V = np.matmul(vi.D, X[:, :, None])[:, :, 0] + vi.c
+    return np.minimum(V * (0.0 - X), V * (1.0 - X)).min(axis=1)
+
+
 def find_linvi_witness(inst: GdaInstance, p: JointPoint, rho: float | None = None):
     """First (q, i) whose copy passes the LinVI check, plus the nearest miss.
 
-    Returns ((q, i, z, report) or None, (best_q, best_i, best_slack)).
+    Returns ((q, i, z, report) or None, (best_q, best_i, best_slack)). The
+    slacks of all kappa*n copies come from one array pass; the copies are
+    ordered by ascending (q, i), and the nearest miss is the first copy of
+    largest worst slack among those before the witness, (-1, -1, -inf)
+    when there are none. Only the witness gets a full ``check_solution``.
     """
-    rho = inst.vi.rho if rho is None else float(rho)
-    X = p.x.reshape(inst.kappa, inst.n, inst.m)
+    rho = resolve_rho(inst.vi, rho)
+    worst = _copy_slacks(inst, p)
+    hits = np.flatnonzero(worst >= -rho)
+    stop = int(hits[0]) if hits.size else worst.size
     best = (-1, -1, -np.inf)
-    for q in range(inst.kappa):
-        for i in range(1, inst.n + 1):
-            z = X[q, i - 1]
-            rep = check_solution(inst.vi, z, rho)
-            if rep.passed:
-                return (q, i, z.copy(), rep), best
-            if rep.worst > best[2]:
-                best = (q, i, rep.worst)
-    return None, best
+    if stop:
+        k = int(np.argmax(worst[:stop]))
+        q, r = divmod(k, inst.n)
+        best = (q, r + 1, float(worst[k]))
+    if stop == worst.size:
+        return None, best
+    q, r = divmod(stop, inst.n)
+    z = p.x[stop * inst.m:(stop + 1) * inst.m].copy()
+    return (q, r + 1, z, check_solution(inst.vi, z, rho)), best
 
 
 def _threshold_assignment(inst: GdaInstance, p: JointPoint) -> Assignment:
@@ -184,16 +203,20 @@ class LemmaAudit:
         }
 
 
-def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
-                rho: float | None = None) -> LemmaAudit:
-    """Evaluate every decoding inequality at a certified eps-stationary point."""
+def _require_stationary(inst: GdaInstance, p: JointPoint, eps: float):
     rep = check_stationary(inst, p, eps)
     if not rep.passed:
         raise NotStationaryError(
             f"max violation {rep.max_violation} exceeds eps {eps}; the audited "
             "inequalities only quantify over stationary points"
         )
-    rho = inst.vi.rho if rho is None else float(rho)
+
+
+def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
+                rho: float | None = None) -> LemmaAudit:
+    """Evaluate every decoding inequality at a certified eps-stationary point."""
+    _require_stationary(inst, p, eps)
+    rho = resolve_rho(inst.vi, rho)
     diag = diagnostics(inst, p)
     kappa, n, m = inst.kappa, inst.n, inst.m
     delta = inst.delta
@@ -251,14 +274,8 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
         "premises": {"eps_le_delta_over_n": premises["eps_le_delta_over_n"]},
     }
 
-    X = p.x.reshape(kappa, n, m)
     one_mask = diag.gate_value == 1.0
-    no_witness = np.array([
-        one_mask[q] and not any(
-            check_solution(inst.vi, X[q, i], rho).passed for i in range(n)
-        )
-        for q in range(kappa)
-    ])
+    no_witness = one_mask & ~(_copy_slacks(inst, p) >= -rho).reshape(kappa, n).any(axis=1)
     one_ok = diag.dist_sq[no_witness] >= 3.0 * m + 1.0 - AUDIT_SLACK
     cons_one = {
         "applicable": no_witness.tolist(),
@@ -299,12 +316,13 @@ def dichotomy_check(inst: GdaInstance, p: JointPoint, eps: float,
     Asserted (raises AuditError on failure) only when every parameter
     premise holds; otherwise the observed branches are reported as data.
     """
-    audit = lemma_audit(inst, p, eps, rho)
+    _require_stationary(inst, p, eps)
     hit, _best = find_linvi_witness(inst, p, rho)
     diag = diagnostics(inst, p)
     s, lam = diag.gate_value, diag.bit
     consistency = bool(np.all((s != 1.0) | (lam == 1.0)) and np.all((s != 0.0) | (lam == 0.0)))
-    premises_ok = all(audit.premises.values())
+    premises = inst.premises()
+    premises_ok = all(premises.values())
     if premises_ok and hit is None and not consistency:
         raise AuditError("no LinVI witness and inconsistent gate values, "
                          "yet all parameter premises hold")
@@ -312,6 +330,6 @@ def dichotomy_check(inst: GdaInstance, p: JointPoint, eps: float,
         linvi_branch=hit is not None,
         witness=(hit[0], hit[1]) if hit is not None else None,
         consistency_branch=consistency,
-        premises=audit.premises,
+        premises=premises,
         asserted=premises_ok,
     )

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LinVIInstance", "SlackReport", "check_solution", "brute_force_solve", "gen_random"]
+__all__ = ["LinVIInstance", "SlackReport", "check_solution", "resolve_rho",
+           "brute_force_solve", "gen_random"]
+
+
+def _require_rho(rho: float) -> float:
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and positive, got {rho!r}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -31,8 +38,7 @@ class LinVIInstance:
             raise ValueError(f"expected D {self.m}x{self.m} and c of length {self.m}")
         if not (np.abs(D) <= 1.0).all() or not (np.abs(c) <= 1.0).all():
             raise ValueError("entries of D and c must be finite and lie in [-1, 1]")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be finite and positive, got {self.rho!r}")
+        _require_rho(self.rho)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "c", c)
 
@@ -62,9 +68,17 @@ class SlackReport:
         return {"slacks": self.slacks.tolist(), "rho": self.rho, "pass": self.passed}
 
 
+def resolve_rho(inst: LinVIInstance, rho: float | None = None) -> float:
+    """The acceptance tolerance: an override if given, else the instance's rho.
+
+    An override must be finite and positive, as the instance's own rho is.
+    """
+    return inst.rho if rho is None else _require_rho(float(rho))
+
+
 def check_solution(inst: LinVIInstance, z: np.ndarray, rho: float | None = None) -> SlackReport:
     """Componentwise acceptance test; rho defaults to the instance value."""
-    rho = inst.rho if rho is None else float(rho)
+    rho = resolve_rho(inst, rho)
     z = np.asarray(z, dtype=float)
     if z.shape != (inst.m,):
         raise ValueError(f"z must have length {inst.m}")

@@ -575,6 +575,8 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
     O(chunk) rather than O(d^2).
     """
     _check_point(inst, p)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {h!r}")
     base = np.concatenate([p.x, p.y])
     k = base.size
     g = np.empty(k)

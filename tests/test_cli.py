@@ -133,7 +133,8 @@ def test_pipeline_reports_are_byte_identical(tmp_path):
 def test_pipeline_timings_included_by_default(tmp_path):
     out = tmp_path / "r.json"
     assert run("pipeline", "--seed", 1, "--iters", 50, "--out", out) == 0
-    assert "timings_sec" in json.loads(out.read_text())
+    timings = json.loads(out.read_text())["timings_sec"]
+    assert set(timings) == {"build", "solve", "decode", "audit"}
 
 
 def test_malformed_json_is_a_parse_error(tmp_path, capsys):
@@ -223,3 +224,71 @@ def test_bad_step_is_a_validation_error(workspace, capsys, step):
     assert run("pipeline", "--step", step, "--iters", 5) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.count("step must be finite and positive") == 2
+
+
+BAD_RHO = ["nan", "inf", "-inf", 0, -0.1]
+
+
+@pytest.mark.parametrize("rho", BAD_RHO)
+def test_bad_rho_override_is_a_validation_error(workspace, capsys, rho):
+    *_, inst, point, instance = workspace
+    # "--rho=-inf": argparse would take a separate "-inf" for an option
+    assert run("decode", "--instance", inst, "--point", point, f"--rho={rho}") == cli.EXIT_VALIDATION
+    assert run("audit", "--instance", inst, "--point", point, "--eps", instance.bounds.G,
+               f"--rho={rho}") == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count(f"rho must be finite and positive, got {float(rho)!r}") == 2
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", -1e-3])
+def test_bad_target_eps_is_a_validation_error(workspace, capsys, eps):
+    *_, inst, point, _instance = workspace
+    eps_flag = f"--eps={eps}"
+    assert run("solve", "--instance", inst, eps_flag, "--step", 0.05,
+               "--iters", 5) == cli.EXIT_VALIDATION
+    assert run("solve", "--instance", inst, "--method", "grid", "--h", 0.5,
+               eps_flag) == cli.EXIT_VALIDATION
+    assert run("pipeline", eps_flag, "--iters", 5) == cli.EXIT_VALIDATION
+    assert run("audit", "--instance", inst, "--point", point, eps_flag) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count(f"eps must be finite and non-negative, got {float(eps)!r}") == 4
+
+
+@pytest.mark.parametrize("fd_step", ["nan", "inf", 0, -1e-6])
+def test_bad_fd_step_is_a_validation_error(workspace, capsys, fd_step):
+    *_, inst, _point, _instance = workspace
+    assert run("grad-check", "--instance", inst, "--points", 1,
+               f"--fd-step={fd_step}") == cli.EXIT_VALIDATION
+    assert "finite-difference step must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_grad_check_without_points_is_a_validation_error(workspace, capsys, points):
+    # no point would pass vacuously and never look at --fd-step
+    *_, inst, _point, _instance = workspace
+    assert run("grad-check", "--instance", inst, f"--points={points}",
+               "--fd-step", 0) == cli.EXIT_VALIDATION
+    assert f"needs at least one point, got {points}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["finite_diff_grad", "eval_grad_direct"])
+def test_nan_gradient_fails_the_grad_check(workspace, monkeypatch, tmp_path, route):
+    # a NaN in either error must fail the check, not be dropped by a max
+    *_, inst, _point, _instance = workspace
+    real = getattr(cli, route)
+
+    def nan_at_second_point(*args, **kwargs):
+        gx, gy = real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 2:
+            gx = np.full_like(gx, np.nan)
+        return gx, gy
+
+    calls = []
+    monkeypatch.setattr(cli, route, nan_at_second_point)
+    out = tmp_path / "gc.json"
+    assert run("grad-check", "--instance", inst, "--points", 3,
+               "--out", out) == cli.EXIT_GRAD_MISMATCH
+    result = json.loads(out.read_text())
+    key = "max_fd_tolerance_ratio" if route == "finite_diff_grad" else "max_dual_relative_error"
+    assert np.isnan(result[key]) and result["pass"] is False

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance, random_point
+from gdacube import decoder
 from gdacube.decoder import (
     AuditError,
     Inconclusive,
@@ -15,10 +18,10 @@ from gdacube.decoder import (
     find_linvi_witness,
     lemma_audit,
 )
-from gdacube.lin_vi import LinVIInstance
+from gdacube.lin_vi import LinVIInstance, check_solution
 from gdacube.pure_circuit import PureCircuitInstance, Trit, gen_example
 from gdacube.reduction import GdaParams, JointPoint, build_instance, diagnostics
-from gdacube.solver import SolverConfig, extragradient
+from gdacube.solver import SolverConfig, check_stationary, extragradient
 
 # LinVI operator identically 1: a copy passes at rho=0.1 only if every
 # entry is at most 0.1, so planted points keep all x entries above that.
@@ -199,6 +202,8 @@ def test_audit_requires_stationarity():
     p = place(inst, [8.0, 0.0, 8.0], base=0.9)
     with pytest.raises(NotStationaryError):
         lemma_audit(inst, p, eps=1e-12)
+    with pytest.raises(NotStationaryError):
+        dichotomy_check(inst, p, eps=1e-12)
 
 
 def test_audit_at_solver_certified_point():
@@ -260,3 +265,163 @@ def test_find_witness_reports_nearest_miss():
     hit, best = find_linvi_witness(inst, JointPoint(x, x.copy()), rho=0.1)
     assert hit is None
     assert best == (1, 1, pytest.approx(-0.2))
+
+
+# ------------------------------------------- batched scan vs per-copy loop
+
+def reference_find_linvi_witness(inst, p, rho=None):
+    """The per-copy loop the batched scan replaced, kept as its reference."""
+    rho = inst.vi.rho if rho is None else float(rho)
+    X = p.x.reshape(inst.kappa, inst.n, inst.m)
+    best = (-1, -1, -np.inf)
+    for q in range(inst.kappa):
+        for i in range(1, inst.n + 1):
+            z = X[q, i - 1]
+            rep = check_solution(inst.vi, z, rho)
+            if rep.passed:
+                return (q, i, z.copy(), rep), best
+            if rep.worst > best[2]:
+                best = (q, i, rep.worst)
+    return None, best
+
+
+def reference_no_witness(inst, p, rho=None):
+    """``consistency_one["applicable"]`` computed copy by copy."""
+    rho = inst.vi.rho if rho is None else float(rho)
+    X = p.x.reshape(inst.kappa, inst.n, inst.m)
+    one_mask = diagnostics(inst, p).gate_value == 1.0
+    return [bool(one_mask[q] and not any(check_solution(inst.vi, X[q, i], rho).passed
+                                         for i in range(inst.n)))
+            for q in range(inst.kappa)]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_scan_matches_reference(inst, p, rho=None):
+    (hit, best), (want_hit, want_best) = (find_linvi_witness(inst, p, rho),
+                                          reference_find_linvi_witness(inst, p, rho))
+    assert best[:2] == want_best[:2] and same_bits(best[2], want_best[2])
+    assert type(best[0]) is int and type(best[2]) is float
+    assert (hit is None) == (want_hit is None)
+    if hit is not None:
+        q, i, z, rep = hit
+        wq, wi, wz, wrep = want_hit
+        assert (q, i) == (wq, wi) and type(q) is int
+        assert same_bits(z, wz) and not np.shares_memory(z, p.x)
+        assert same_bits(rep.slacks, wrep.slacks)
+        assert (rep.rho, rep.passed) == (wrep.rho, wrep.passed)
+    eps = check_stationary(inst, p, 0.0).max_violation
+    audit = lemma_audit(inst, p, eps, rho)
+    assert audit.consistency_one["applicable"] == reference_no_witness(inst, p, rho)
+    return hit, best
+
+
+unit = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])
+signed = st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 0.0, 1.0])
+
+
+@st.composite
+def scan_cases(draw):
+    """A ring instance with a random VI, a point, and a rho override or None.
+
+    Some copies are duplicates of others, so equal worst slacks (tied
+    nearest misses) occur; y = x makes every vertex read 0, so the NOR
+    outputs saturate at 1 and ``consistency_one`` has copies to scan.
+    """
+    m, n, kappa = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(3, 5))
+    vi = LinVIInstance(m=m, D=np.array(draw(st.lists(signed, min_size=m * m, max_size=m * m)))
+                       .reshape(m, m), c=np.array(draw(st.lists(signed, min_size=m, max_size=m))),
+                       rho=draw(st.floats(1e-4, 0.5)))
+    inst = build(gen_example("ring", kappa, 0), n=n, vi=vi)
+    copies = kappa * n
+    X = np.array(draw(st.lists(unit, min_size=copies * m, max_size=copies * m))).reshape(copies, m)
+    for dst in draw(st.lists(st.integers(0, copies - 1), max_size=3)):
+        X[dst] = X[draw(st.integers(0, copies - 1))]
+    x = X.ravel()
+    y = x.copy() if draw(st.booleans()) else np.array(
+        draw(st.lists(unit, min_size=inst.d, max_size=inst.d)))
+    rho = draw(st.none() | st.floats(1e-6, 2.0))
+    return inst, JointPoint(x, y), rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scan_cases())
+def test_batched_scan_matches_per_copy_loop(case):
+    assert_scan_matches_reference(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scan_cases(), data=st.data())
+def test_batched_scan_matches_at_a_chosen_first_hit(case, data):
+    # rho set to minus a chosen copy's worst slack makes that copy pass exactly
+    inst, p, _rho = case
+    worst = [check_solution(inst.vi, z).worst for z in p.x.reshape(-1, inst.m)]
+    k = data.draw(st.integers(0, len(worst) - 1))
+    if worst[k] < 0.0:
+        assert_scan_matches_reference(inst, p, -worst[k])
+
+
+def test_scan_hit_at_copy_zero_has_no_nearest_miss():
+    inst = build(gen_example("ring", 3, 0), n=2)
+    x = np.full(inst.d, 0.5)
+    x[0] = 0.0
+    hit, best = assert_scan_matches_reference(inst, JointPoint(x, x.copy()))
+    assert hit[:2] == (0, 1)
+    assert best == (-1, -1, -np.inf)
+
+
+def test_scan_hit_in_a_middle_copy_reports_the_misses_before_it():
+    inst = build(gen_example("ring", 3, 0), n=2)
+    x = np.array([0.5, 0.3, 0.4, 0.05, 0.3, 0.0])  # copy 3 (q=1, i=2) passes
+    hit, best = assert_scan_matches_reference(inst, JointPoint(x, x.copy()))
+    assert hit[:2] == (1, 2)
+    assert best == (0, 2, pytest.approx(-0.3))  # copy 5 passes too, but later
+
+
+def test_scan_tied_nearest_misses_keep_the_first():
+    inst = build(gen_example("ring", 3, 0), n=2)
+    x = np.array([0.5, 0.2, 0.3, 0.2, 0.2, 0.9])
+    hit, best = assert_scan_matches_reference(inst, JointPoint(x, x.copy()))
+    assert hit is None
+    assert best == (0, 2, pytest.approx(-0.2))
+
+
+def test_scan_makes_no_per_copy_calls(monkeypatch):
+    # decode, lemma_audit and dichotomy_check at a point without a witness:
+    # no check_solution call, one diagnostics call each, no lemma_audit rerun
+    inst = build(gen_example("ring", 3, 0), n=2)
+    x = np.full(inst.d, 0.3)
+    p = JointPoint(x, x.copy())
+    calls = {"check_solution": 0, "diagnostics": 0}
+
+    def counted(name):
+        fn = getattr(decoder, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(decoder, name, counted(name))
+    assert isinstance(decode(inst, p), Inconclusive)
+    lemma_audit(inst, p, eps=inst.bounds.G)
+    monkeypatch.setattr(decoder, "lemma_audit",
+                        lambda *a, **k: pytest.fail("dichotomy_check reran lemma_audit"))
+    dichotomy_check(inst, p, eps=inst.bounds.G)
+    assert calls == {"check_solution": 0, "diagnostics": 3}
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.1, np.inf, -np.inf, np.nan])
+def test_rho_override_must_be_finite_and_positive(rho):
+    inst = build(gen_example("ring", 3, 0), n=1)
+    x = np.full(inst.d, 0.3)
+    p = JointPoint(x, x.copy())
+    for fn in (lambda: decode(inst, p, rho), lambda: find_linvi_witness(inst, p, rho),
+               lambda: lemma_audit(inst, p, inst.bounds.G, rho),
+               lambda: dichotomy_check(inst, p, inst.bounds.G, rho)):
+        with pytest.raises(ValueError, match="rho must be finite and positive"):
+            fn()
