@@ -38,7 +38,7 @@ from .reduction import (
     finite_diff_grad,
     paper_params,
 )
-from .solver import SolverConfig, extragradient, grid_search, projected_gda
+from .solver import SolverConfig, SolverResult, extragradient, grid_search, projected_gda
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -181,36 +181,25 @@ def _check_eps(eps: float | None):
         raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
 
 
-def _run_solver(inst, args, p0_seed: int):
+def _run_solver(inst, args, p0_seed: int) -> SolverResult:
     _check_eps(args.eps)
     if args.method == "grid":
         if args.h is None:
             raise _ParseFailure("--h is required for the grid method")
-        point, report = grid_search(inst, args.h, eps=args.eps)
-        return {
-            "max_violation": report.max_violation,
-            "epsilon": report.epsilon,
-            "pass": report.passed,
-            "method": "grid",
-            "iterations": 0,
-            "seed": args.seed,
-            "point": point.to_json_dict(),
-        }, point, report
+        return grid_search(inst, args.h, eps=args.eps)
     rng = np.random.default_rng(p0_seed)
     p0 = JointPoint(rng.uniform(0, 1, inst.d), rng.uniform(0, 1, inst.d))
     cfg = SolverConfig(step=args.step, max_iters=args.iters,
                        restarts=args.restarts, seed=args.seed,
                        target=args.eps if args.eps is not None else 0.0)
     solve = projected_gda if args.method == "gda" else extragradient
-    res = solve(inst, p0, cfg)
-    return res.to_json_dict(), res.point, res.report
+    return solve(inst, p0, cfg)
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     p0_seed = int(np.random.SeedSequence(args.seed).generate_state(1)[0])
-    payload, _point, _report = _run_solver(inst, args, p0_seed)
-    _dump(payload, args.out)
+    _dump(_run_solver(inst, args, p0_seed).to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -231,7 +220,7 @@ def cmd_audit(args) -> int:
     payload = {"lemmas": audit.to_json_dict()}
     code = EXIT_OK
     try:
-        payload["dichotomy"] = dichotomy_check(inst, p, args.eps, rho=args.rho).to_json_dict()
+        payload["dichotomy"] = dichotomy_check(audit).to_json_dict()
     except AuditError as e:
         payload["dichotomy_error"] = str(e)
         code = EXIT_AUDIT
@@ -253,15 +242,16 @@ def cmd_pipeline(args) -> int:
     inst = build_instance(pc, vi, params)
     t_build = time.perf_counter()
 
-    solver_payload, point, report = _run_solver(inst, args, p0_seed)
+    result = _run_solver(inst, args, p0_seed)
     t_solve = time.perf_counter()
 
+    point = result.point
     outcome = decode(inst, point)
     t_decode = time.perf_counter()
-    achieved = report.max_violation
+    achieved = result.report.max_violation
     audit = lemma_audit(inst, point, achieved)
     try:
-        dichotomy = dichotomy_check(inst, point, achieved).to_json_dict()
+        dichotomy = dichotomy_check(audit).to_json_dict()
     except AuditError as e:
         dichotomy = {"error": str(e)}
     t_done = time.perf_counter()
@@ -284,7 +274,7 @@ def cmd_pipeline(args) -> int:
             "pc": pc.to_json_dict(),
             "vi": vi.to_json_dict(),
         },
-        "solver": solver_payload,
+        "solver": result.to_json_dict(),
         "decode": outcome.to_json_dict(),
         "audit": audit.to_json_dict(),
         "dichotomy": dichotomy,

@@ -174,6 +174,10 @@ class LemmaAudit:
     1/delta threshold. ``consistency_zero``/``consistency_one``: distance
     implications of saturated gate values. All inequalities carry an
     additive slack of 1e-9 for float noise; none is ever assumed.
+
+    ``witness`` (first passing copy (q, i), or None) and ``gates_consistent``
+    (every saturated gate value agrees with its level) are the dichotomy's
+    two branches, read by ``dichotomy_check``; the JSON form omits them.
     """
 
     epsilon: float
@@ -184,6 +188,8 @@ class LemmaAudit:
     consistency_zero: dict
     consistency_one: dict
     premises: dict
+    witness: tuple[int, int] | None
+    gates_consistent: bool
 
     @property
     def unconditional_hold(self) -> bool:
@@ -203,19 +209,20 @@ class LemmaAudit:
         }
 
 
-def _require_stationary(inst: GdaInstance, p: JointPoint, eps: float):
+def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
+                rho: float | None = None) -> LemmaAudit:
+    """Evaluate every decoding inequality at a certified eps-stationary point.
+
+    Raises NotStationaryError unless ``check_stationary`` passes at eps.
+    One stationarity check, one ``diagnostics`` call and one LinVI scan
+    feed every section and both dichotomy branches.
+    """
     rep = check_stationary(inst, p, eps)
     if not rep.passed:
         raise NotStationaryError(
             f"max violation {rep.max_violation} exceeds eps {eps}; the audited "
             "inequalities only quantify over stationary points"
         )
-
-
-def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
-                rho: float | None = None) -> LemmaAudit:
-    """Evaluate every decoding inequality at a certified eps-stationary point."""
-    _require_stationary(inst, p, eps)
     rho = resolve_rho(inst.vi, rho)
     diag = diagnostics(inst, p)
     kappa, n, m = inst.kappa, inst.n, inst.m
@@ -274,8 +281,9 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
         "premises": {"eps_le_delta_over_n": premises["eps_le_delta_over_n"]},
     }
 
+    passing = _copy_slacks(inst, p) >= -rho
     one_mask = diag.gate_value == 1.0
-    no_witness = one_mask & ~(_copy_slacks(inst, p) >= -rho).reshape(kappa, n).any(axis=1)
+    no_witness = one_mask & ~passing.reshape(kappa, n).any(axis=1)
     one_ok = diag.dist_sq[no_witness] >= 3.0 * m + 1.0 - AUDIT_SLACK
     cons_one = {
         "applicable": no_witness.tolist(),
@@ -287,10 +295,15 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
                       "n_ge_2^24_m^6_k^2_over_delta^4", "eps_le_delta^3_over_2^16_m^4_k^2")},
     }
 
+    k = int(np.argmax(passing))  # the first passing copy, if any
+    witness = (k // n, k % n + 1) if passing[k] else None
+    s, lam = diag.gate_value, diag.bit
+    consistent = bool(np.all((s != 1.0) | (lam == 1.0)) and np.all((s != 0.0) | (lam == 0.0)))
+
     return LemmaAudit(epsilon=float(eps), coord_bound=coord, l1_bound=l1,
                       noise_bound=noise, guess_count=guess,
                       consistency_zero=cons_zero, consistency_one=cons_one,
-                      premises=premises)
+                      premises=premises, witness=witness, gates_consistent=consistent)
 
 
 @dataclass(frozen=True)
@@ -308,28 +321,23 @@ class DichotomyReport:
                 "premises": self.premises, "asserted": self.asserted}
 
 
-def dichotomy_check(inst: GdaInstance, p: JointPoint, eps: float,
-                    rho: float | None = None) -> DichotomyReport:
+def dichotomy_check(audit: LemmaAudit) -> DichotomyReport:
     """At a stationary point: either some copy solves the LinVI instance, or
     every saturated gate value agrees with its vertex's logical level.
 
+    Reads both branches and the premises from ``audit`` (``lemma_audit``
+    has certified the point and scanned it); nothing is re-evaluated.
     Asserted (raises AuditError on failure) only when every parameter
     premise holds; otherwise the observed branches are reported as data.
     """
-    _require_stationary(inst, p, eps)
-    hit, _best = find_linvi_witness(inst, p, rho)
-    diag = diagnostics(inst, p)
-    s, lam = diag.gate_value, diag.bit
-    consistency = bool(np.all((s != 1.0) | (lam == 1.0)) and np.all((s != 0.0) | (lam == 0.0)))
-    premises = inst.premises()
-    premises_ok = all(premises.values())
-    if premises_ok and hit is None and not consistency:
+    premises_ok = all(audit.premises.values())
+    if premises_ok and audit.witness is None and not audit.gates_consistent:
         raise AuditError("no LinVI witness and inconsistent gate values, "
                          "yet all parameter premises hold")
     return DichotomyReport(
-        linvi_branch=hit is not None,
-        witness=(hit[0], hit[1]) if hit is not None else None,
-        consistency_branch=consistency,
-        premises=premises,
+        linvi_branch=audit.witness is not None,
+        witness=audit.witness,
+        consistency_branch=audit.gates_consistent,
+        premises=audit.premises,
         asserted=premises_ok,
     )

@@ -131,13 +131,13 @@ class GdaParams:
         return cls(mode=d["mode"], materializable=bool(d.get("materializable", True)), **nums)
 
 
-def paper_params(m: int, kappa: int, rho: Number, dim_cap: int = DIM_CAP) -> GdaParams:
+def paper_params(m: int, kappa: int, rho: Number) -> GdaParams:
     """Exact-rational parameters for the hardness-scale construction.
 
     n = 2^64 m^14 kappa^2 / rho^8, epsilon = rho^18 / (2^140 m^28 kappa^4),
     delta = rho^2 / (2^10 m^2). These are astronomically large by design;
     the returned record is flagged non-materializable whenever the full
-    dimension kappa*n*m would exceed ``dim_cap``.
+    dimension kappa*n*m would exceed ``DIM_CAP``.
     """
     if m < 1 or kappa < 1:
         raise ValueError("need m >= 1 and kappa >= 1")
@@ -149,7 +149,7 @@ def paper_params(m: int, kappa: int, rho: Number, dim_cap: int = DIM_CAP) -> Gda
     delta = rho**2 / Fraction(2**10 * m**2)
     return GdaParams(
         n=n, epsilon=epsilon, delta=delta, mode="paper",
-        materializable=bool(kappa * n * m <= dim_cap),
+        materializable=bool(kappa * n * m <= DIM_CAP),
     )
 
 
@@ -337,8 +337,8 @@ def _conservative_bounds(pc: PureCircuitInstance, kappa: int, n: int, m: int,
 
 
 def build_instance(pc: PureCircuitInstance, vi: LinVIInstance, params: GdaParams,
-                   dim_cap: int = DIM_CAP, validate: bool = True) -> GdaInstance:
-    """Materialize the compiled instance; refuses dimensions beyond ``dim_cap``.
+                   validate: bool = True) -> GdaInstance:
+    """Materialize the compiled instance; refuses dimensions beyond ``DIM_CAP``.
 
     ``validate=False`` admits structurally incomplete circuits (vertices
     without a producing gate get a gate value of 0); unit tests use this
@@ -350,9 +350,9 @@ def build_instance(pc: PureCircuitInstance, vi: LinVIInstance, params: GdaParams
             raise ValidationError(problems)
     kappa, m = pc.kappa, vi.m
     d_exact = kappa * params.n * m
-    if not params.materializable or d_exact > dim_cap:
+    if not params.materializable or d_exact > DIM_CAP:
         raise CapExceededError(
-            f"instance dimension kappa*n*m = {kappa}*{params.n}*{m} exceeds cap {dim_cap}"
+            f"instance dimension kappa*n*m = {kappa}*{params.n}*{m} exceeds cap {DIM_CAP}"
         )
     n = int(params.n)
     M = float(params.delta) * (np.arange(1, n + 1, dtype=float) - n / 2.0)

@@ -72,7 +72,7 @@ class SolverResult:
     trace: tuple[tuple[int, float], ...]  # (cumulative iterations, best violation)
     iterations: int
     method: str
-    seed: int
+    seed: int | None  # None for the grid, which draws no random numbers
 
     def to_json_dict(self) -> dict:
         return {
@@ -253,18 +253,13 @@ def extragradient(inst: GdaInstance, p0: JointPoint, cfg: SolverConfig) -> Solve
     return _drive(inst, p0, cfg, extrapolate=True)
 
 
-def _eval_cap(override: int | None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get(EVAL_CAP_ENV, DEFAULT_EVAL_CAP))
-
-
-def grid_search(inst: GdaInstance, h: float, eps: float | None = None,
-                eval_cap: int | None = None) -> tuple[JointPoint, StationarityReport]:
+def grid_search(inst: GdaInstance, h: float, eps: float | None = None) -> SolverResult:
     """Exhaustive sweep of the product grid with spacing h.
 
     Returns the point minimizing the maximum violation; exact ties go to
-    the lexicographically smallest grid point (the scan is ordered).
+    the lexicographically smallest grid point (the scan is ordered). The
+    sweep counts as zero iterations; its trace is the one best violation.
+    The point count is capped by the ``GDACUBE_EVAL_CAP`` variable.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid spacing h must be finite and positive, got {h!r}")
@@ -274,7 +269,7 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None,
     vals = np.linspace(0.0, 1.0, k + 1)
     width = 2 * inst.d
     npts = (k + 1) ** width
-    cap = _eval_cap(eval_cap)
+    cap = int(os.environ.get(EVAL_CAP_ENV, DEFAULT_EVAL_CAP))
     if npts > cap:
         raise CapExceededError(f"grid has {npts} points, cap is {cap}")
 
@@ -285,10 +280,10 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None,
         digits = (idx[:, None] // divisors[None, :]) % (k + 1)
         P = vals[digits]
         X, Y = P[:, : inst.d], P[:, inst.d:]
+        # GX, GY stay bound until the next chunk's gradient replaces them;
+        # freeing them after each chunk made the sweep ~10% slower
         GX, GY = _grad_many(inst, X, Y)
-        vx, vy = _violation_arrays(X, Y, GX, GY)
-        v = np.maximum(vx.max(axis=1), vy.max(axis=1))
-        del vx, vy  # whole chunks: not kept alive through the next chunk's gradient
+        v = _row_violations(X, Y, GX, GY)
         b = int(np.argmin(v))
         if v[b] < best_v:
             best_v, best_idx = float(v[b]), int(idx[b])
@@ -297,4 +292,5 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None,
     P = vals[digits]
     point = JointPoint(P[: inst.d], P[inst.d:])
     report = check_stationary(inst, point, best_v if eps is None else eps)
-    return point, report
+    return SolverResult(point=point, report=report, trace=((0, best_v),),
+                        iterations=0, method="grid", seed=None)

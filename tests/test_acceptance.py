@@ -165,7 +165,7 @@ def test_criterion_4_exhaustive_oracle():
     checks = []
     best = []
     for h in (0.5, 0.25, 0.125):
-        _point, rep = grid_search(inst, h)
+        rep = grid_search(inst, h).report
         best.append(rep.max_violation)
         bound = inst.bounds.L * np.sqrt(2 * inst.d) * h
         checks.append((rep.max_violation <= bound,
@@ -181,8 +181,8 @@ def _certified_points():
     out = []
     inst = make_instance("ring3-m1-n1")
     for h in (0.5, 0.25, 0.125):
-        point, rep = grid_search(inst, h)
-        out.append(("ring3-m1-n1 grid h=%s" % h, inst, point, rep.max_violation))
+        res = grid_search(inst, h)
+        out.append(("ring3-m1-n1 grid h=%s" % h, inst, res.point, res.report.max_violation))
     for name in ("ring3-m2-n4", "tree6-m2-n8"):
         inst = make_instance(name)
         rng = np.random.default_rng(17)

@@ -79,15 +79,28 @@ def test_grad_check_passes(workspace, tmp_path):
     assert result["pass"] and result["max_dual_relative_error"] <= 1e-12
 
 
-@pytest.mark.parametrize("method", ["gda", "extragradient"])
-def test_solve_reports_required_fields(workspace, tmp_path, method):
+SOLVER_KEYS = {"max_violation", "epsilon", "pass", "method", "iterations", "seed",
+               "point", "trace"}
+
+
+@pytest.mark.parametrize("method, flags", [
+    pytest.param("gda", ["--step", 0.05, "--iters", 200], id="gda"),
+    pytest.param("extragradient", ["--step", 0.05, "--iters", 200], id="extragradient"),
+    pytest.param("grid", ["--h", 0.5], id="grid"),
+])
+def test_solve_reports_required_fields(workspace, tmp_path, method, flags):
     *_, inst, _point, _instance = workspace
     outfile = tmp_path / "sol.json"
-    assert run("solve", "--instance", inst, "--method", method, "--step", 0.05,
-               "--iters", 200, "--seed", 1, "--out", outfile) == 0
+    assert run("solve", "--instance", inst, "--method", method, *flags,
+               "--seed", 1, "--out", outfile) == 0
     rep = json.loads(outfile.read_text())
-    assert {"max_violation", "epsilon", "pass", "method", "iterations", "seed"} <= set(rep)
+    assert set(rep) == SOLVER_KEYS  # one SolverResult shape for every method
     assert rep["method"] == method
+    if method == "grid":
+        assert rep["iterations"] == 0 and rep["seed"] is None
+        assert rep["trace"] == [[0, rep["max_violation"]]]
+    else:
+        assert rep["seed"] == 1
 
 
 def test_solve_grid_method(workspace, tmp_path):
@@ -117,17 +130,47 @@ def test_decode_and_audit_commands(workspace, tmp_path, capsys):
                "--eps", 1e-15) == cli.EXIT_VALIDATION
 
 
-def test_pipeline_reports_are_byte_identical(tmp_path):
+# The grid run exits 6: at n = 1 the audit's closed-form l1 limit is 0, which
+# the exact grid-stationary point found at seed 7 exceeds (the known n = 1
+# audit defect; see ROADMAP). The report is written either way.
+@pytest.mark.parametrize("solver_flags, code", [
+    pytest.param(["--n", 4, "--iters", 300], cli.EXIT_OK, id="extragradient"),
+    pytest.param(["--method", "grid", "--h", 0.5, "--n", 1], cli.EXIT_AUDIT, id="grid"),
+])
+def test_pipeline_reports_are_byte_identical(tmp_path, solver_flags, code):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    flags = ["pipeline", "--seed", 7, "--pc-size", 4, "--n", 4, "--iters", 300,
-             "--no-timings"]
-    assert run(*flags, "--out", a) == 0
-    assert run(*flags, "--out", b) == 0
+    flags = ["pipeline", "--seed", 7, "--pc-size", 4, *solver_flags, "--no-timings"]
+    assert run(*flags, "--out", a) == code
+    assert run(*flags, "--out", b) == code
     assert a.read_bytes() == b.read_bytes()
     report = json.loads(a.read_text())
     assert report["config"]["seed"] == 7
     assert "timings_sec" not in report
     assert {"instance", "solver", "decode", "audit", "dichotomy"} <= set(report)
+
+
+def test_audit_exits_6_when_premises_hold_and_both_branches_fail(tmp_path, monkeypatch):
+    # a VI no copy can solve at x = 0.3 and a ring-3 point whose NOR gate
+    # reads 1 at level 0: no witness, inconsistent gates
+    pc, vi, inst = tmp_path / "pc.json", tmp_path / "vi.json", tmp_path / "inst.json"
+    assert run("gen-pc", "--kind", "ring", "--size", 3, "--out", pc) == 0
+    vi.write_text(json.dumps(LinVIInstance(m=1, D=np.array([[0.0]]), c=np.array([1.0]),
+                                           rho=0.1).to_json_dict()))
+    assert run("build", "--pc", pc, "--vi", vi, "--n", 1, "--epsilon", 1e-3,
+               "--delta", 0.5, "--out", inst) == 0
+    instance = GdaInstance.from_json_dict(json.loads(inst.read_text()))
+    point = tmp_path / "point.json"
+    x = np.full(instance.d, 0.3)
+    point.write_text(json.dumps(JointPoint(x, x.copy()).to_json_dict()))
+    premises = GdaInstance.premises
+    monkeypatch.setattr(GdaInstance, "premises",
+                        lambda self: {k: True for k in premises(self)})
+    out = tmp_path / "audit.json"
+    assert run("audit", "--instance", inst, "--point", point,
+               "--eps", instance.bounds.G, "--out", out) == cli.EXIT_AUDIT
+    payload = json.loads(out.read_text())
+    assert "yet all parameter premises hold" in payload["dichotomy_error"]
+    assert "dichotomy" not in payload
 
 
 def test_pipeline_timings_included_by_default(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import make_instance, random_point
 from gdacube import decoder
 from gdacube.decoder import (
     AuditError,
+    DichotomyReport,
     Inconclusive,
     LinViWitness,
     NotStationaryError,
@@ -202,8 +204,6 @@ def test_audit_requires_stationarity():
     p = place(inst, [8.0, 0.0, 8.0], base=0.9)
     with pytest.raises(NotStationaryError):
         lemma_audit(inst, p, eps=1e-12)
-    with pytest.raises(NotStationaryError):
-        dichotomy_check(inst, p, eps=1e-12)
 
 
 def test_audit_at_solver_certified_point():
@@ -233,7 +233,7 @@ def test_audit_consistency_sections_on_synthetic_point():
 def test_dichotomy_consistency_branch():
     inst = build(gen_example("ring", 4, 0))
     p = place(inst, [0.0, 0.0, 0.0, 4.0])
-    rep = dichotomy_check(inst, p, eps=inst.bounds.G)
+    rep = dichotomy_check(lemma_audit(inst, p, eps=inst.bounds.G))
     assert rep.consistency_branch and not rep.linvi_branch
     assert not rep.asserted  # desk-scale premises are false: observational only
     out = decode(inst, p)
@@ -246,7 +246,7 @@ def test_dichotomy_linvi_branch():
     x = np.ones(inst.d)
     x[inst.index(0, 1, 0)] = 0.0
     p = JointPoint(x, x.copy())
-    rep = dichotomy_check(inst, p, eps=inst.bounds.G)
+    rep = dichotomy_check(lemma_audit(inst, p, eps=inst.bounds.G))
     assert rep.linvi_branch and rep.witness == (0, 1)
 
 
@@ -254,9 +254,29 @@ def test_dichotomy_never_raises_without_premises():
     # inconsistent point, no witness, desk parameters: report, no assertion
     inst = build(gen_example("ring", 3, 0), n=1)
     x = np.full(inst.d, 0.3)
-    rep = dichotomy_check(inst, JointPoint(x, x.copy()), eps=inst.bounds.G)
+    rep = dichotomy_check(lemma_audit(inst, JointPoint(x, x.copy()), eps=inst.bounds.G))
     assert not rep.linvi_branch and not rep.consistency_branch
     assert not rep.asserted
+
+
+def all_premises_hold(audit):
+    return dataclasses.replace(audit, premises={k: True for k in audit.premises})
+
+
+def test_dichotomy_raises_when_premises_hold_and_both_branches_fail():
+    inst = build(gen_example("ring", 3, 0), n=1)
+    x = np.full(inst.d, 0.3)
+    audit = lemma_audit(inst, JointPoint(x, x.copy()), eps=inst.bounds.G)
+    assert audit.witness is None and not audit.gates_consistent
+    with pytest.raises(AuditError, match="yet all parameter premises hold"):
+        dichotomy_check(all_premises_hold(audit))
+
+
+def test_dichotomy_asserted_at_a_consistent_point_when_premises_hold():
+    inst = build(gen_example("ring", 4, 0))
+    audit = lemma_audit(inst, place(inst, [0.0, 0.0, 0.0, 4.0]), eps=inst.bounds.G)
+    rep = dichotomy_check(all_premises_hold(audit))
+    assert rep.asserted and rep.consistency_branch and not rep.linvi_branch
 
 
 def test_find_witness_reports_nearest_miss():
@@ -295,6 +315,19 @@ def reference_no_witness(inst, p, rho=None):
             for q in range(inst.kappa)]
 
 
+def reference_dichotomy(inst, p, rho=None):
+    """The dichotomy as built from the point itself: scan plus diagnostics."""
+    hit, _best = find_linvi_witness(inst, p, rho)
+    diag = diagnostics(inst, p)
+    s, lam = diag.gate_value, diag.bit
+    consistency = bool(np.all((s != 1.0) | (lam == 1.0)) and np.all((s != 0.0) | (lam == 0.0)))
+    premises = inst.premises()
+    return DichotomyReport(linvi_branch=hit is not None,
+                           witness=None if hit is None else (hit[0], hit[1]),
+                           consistency_branch=consistency, premises=premises,
+                           asserted=all(premises.values()))
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -316,6 +349,14 @@ def assert_scan_matches_reference(inst, p, rho=None):
     eps = check_stationary(inst, p, 0.0).max_violation
     audit = lemma_audit(inst, p, eps, rho)
     assert audit.consistency_one["applicable"] == reference_no_witness(inst, p, rho)
+    rep, want = dichotomy_check(audit), reference_dichotomy(inst, p, rho)
+    assert rep == want and rep.witness == audit.witness
+    assert rep.witness is None or all(type(k) is int for k in rep.witness)
+    if want.linvi_branch or want.consistency_branch:
+        assert dichotomy_check(all_premises_hold(audit)).asserted
+    else:
+        with pytest.raises(AuditError):
+            dichotomy_check(all_premises_hold(audit))
     return hit, best
 
 
@@ -389,13 +430,27 @@ def test_scan_tied_nearest_misses_keep_the_first():
     assert best == (0, 2, pytest.approx(-0.2))
 
 
+def test_dichotomy_sees_a_zero_gate_value_off_level_zero():
+    # vertex 0 has no producer (gate value 0) but reads level 1; no gate
+    # value is 1, so only the zero half of the consistency test fails
+    inst = nor_case_instance()
+    p = place(inst, [4.0, 0.0, 0.0])
+    diag = diagnostics(inst, p)
+    assert diag.gate_value[0] == 0.0 and diag.bit[0] == 1.0
+    assert not (diag.gate_value == 1.0).any()
+    assert_scan_matches_reference(inst, p)
+    rep = dichotomy_check(lemma_audit(inst, p, eps=inst.bounds.G))
+    assert not rep.consistency_branch and not rep.linvi_branch
+
+
 def test_scan_makes_no_per_copy_calls(monkeypatch):
     # decode, lemma_audit and dichotomy_check at a point without a witness:
-    # no check_solution call, one diagnostics call each, no lemma_audit rerun
+    # no check_solution call, one diagnostics call in decode and one in the
+    # audit, one stationarity check; dichotomy_check re-evaluates nothing
     inst = build(gen_example("ring", 3, 0), n=2)
     x = np.full(inst.d, 0.3)
     p = JointPoint(x, x.copy())
-    calls = {"check_solution": 0, "diagnostics": 0}
+    calls = {"check_solution": 0, "diagnostics": 0, "check_stationary": 0}
 
     def counted(name):
         fn = getattr(decoder, name)
@@ -408,11 +463,12 @@ def test_scan_makes_no_per_copy_calls(monkeypatch):
     for name in calls:
         monkeypatch.setattr(decoder, name, counted(name))
     assert isinstance(decode(inst, p), Inconclusive)
-    lemma_audit(inst, p, eps=inst.bounds.G)
+    audit = lemma_audit(inst, p, eps=inst.bounds.G)
+    assert calls == {"check_solution": 0, "diagnostics": 2, "check_stationary": 1}
     monkeypatch.setattr(decoder, "lemma_audit",
                         lambda *a, **k: pytest.fail("dichotomy_check reran lemma_audit"))
-    dichotomy_check(inst, p, eps=inst.bounds.G)
-    assert calls == {"check_solution": 0, "diagnostics": 3}
+    dichotomy_check(audit)
+    assert calls == {"check_solution": 0, "diagnostics": 2, "check_stationary": 1}
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.1, np.inf, -np.inf, np.nan])
@@ -421,7 +477,6 @@ def test_rho_override_must_be_finite_and_positive(rho):
     x = np.full(inst.d, 0.3)
     p = JointPoint(x, x.copy())
     for fn in (lambda: decode(inst, p, rho), lambda: find_linvi_witness(inst, p, rho),
-               lambda: lemma_audit(inst, p, inst.bounds.G, rho),
-               lambda: dichotomy_check(inst, p, inst.bounds.G, rho)):
+               lambda: lemma_audit(inst, p, inst.bounds.G, rho)):
         with pytest.raises(ValueError, match="rho must be finite and positive"):
             fn()

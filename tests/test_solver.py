@@ -133,7 +133,8 @@ def test_restarts_explore_and_keep_best():
 
 def test_grid_search_regularizer_toy():
     inst = regularizer_only_instance(delta=0.5)  # M_1 = 0.25
-    p, rep = grid_search(inst, h=0.25)
+    res = grid_search(inst, h=0.25)
+    p, rep = res.point, res.report
     # aligned objectives meet on the diagonal where the gradient vanishes
     assert rep.max_violation <= 2 * 0.25 * 0.25
     assert np.array_equal(p.x, p.y)
@@ -141,9 +142,27 @@ def test_grid_search_regularizer_toy():
     assert np.array_equal(p.x, [0.0])
 
 
+def test_grid_search_returns_a_solver_result():
+    inst = make_instance("ring3-m1-n1")
+    res = grid_search(inst, h=0.5)
+    assert (res.method, res.iterations, res.seed) == ("grid", 0, None)
+    assert res.trace == ((0, res.report.max_violation),)
+    assert res.report.passed  # eps defaults to the best violation found
+    # the sweep's reduction gives the same bits as max(vx.max(), vy.max())
+    k = 3
+    P = np.array(np.meshgrid(*[np.linspace(0.0, 1.0, k)] * (2 * inst.d),
+                             indexing="ij")).reshape(2 * inst.d, -1).T
+    X, Y = P[:, :inst.d], P[:, inst.d:]
+    vx, vy = solver._violation_arrays(X, Y, *solver._grad_many(inst, X, Y))
+    v = np.maximum(vx.max(axis=1), vy.max(axis=1))
+    b = int(np.argmin(v))
+    assert res.trace[0][1] == v[b]
+    assert np.array_equal(res.point.x, X[b]) and np.array_equal(res.point.y, Y[b])
+
+
 def test_grid_search_monotone_under_refinement():
     inst = make_instance("ring3-m1-n1")
-    best = [grid_search(inst, h)[1].max_violation for h in (0.5, 0.25, 0.125)]
+    best = [grid_search(inst, h).report.max_violation for h in (0.5, 0.25, 0.125)]
     assert best[1] <= best[0] and best[2] <= best[1]
     assert best[2] <= inst.bounds.L * np.sqrt(2 * inst.d) * 0.125
 
