@@ -13,6 +13,14 @@ Three C^1 piecewise-polynomial switches:
 
 All functions accept floats or numpy arrays and return the same shape.
 Derivative suprema are 6, 9 and 3/2 respectively; tests pin these.
+
+Each switch also has a value-and-slope form, ``slope=True``, which returns
+``(value, slope)`` from one call: the input is checked for finiteness
+once, each element is classified once, and both ramp polynomials are
+evaluated on the same elements, those strictly inside the ramp. Its
+slope equals the ``*_prime`` function bit for bit, so the gradient needs
+one call per switch instead of two. The ``*_prime`` functions remain for
+callers that want the slope alone.
 """
 
 from __future__ import annotations
@@ -36,22 +44,36 @@ def _as_finite(z) -> np.ndarray:
     return arr
 
 
-def _switch(arr: np.ndarray, lo: float, hi: float, below: float, above: float, ramp):
-    """``below`` where arr <= lo, ``above`` where arr >= hi, ``ramp(arr)`` between.
+def _switch(z, lo: float, hi: float, below: float, above: float, ramp, slope_ramp=None):
+    """``below`` where z <= lo, ``above`` where z >= hi, ``ramp(z)`` between.
 
-    The ramp polynomial is evaluated only on the elements strictly inside
-    (lo, hi). A 0-d input returns a float and keeps numpy scalar
-    arithmetic, whose ``pow`` may differ in the last bit from the array
-    loop's, so scalar callers see the values they always saw.
+    With ``slope_ramp`` the result is ``(value, slope)``, the slope being
+    0 outside (lo, hi) and ``slope_ramp(z)`` inside. The ramps are
+    evaluated only on the elements strictly inside (lo, hi). A 0-d input
+    returns floats and keeps numpy scalar arithmetic, whose ``pow`` may
+    differ in the last bit from the array loop's, so scalar callers see
+    the values they always saw.
     """
+    arr = _as_finite(z)
     if arr.ndim == 0:
-        return below if arr <= lo else above if arr >= hi else float(ramp(arr))
+        if lo < arr < hi:
+            value = float(ramp(arr))
+            return value if slope_ramp is None else (value, float(slope_ramp(arr)))
+        value = below if arr <= lo else above
+        return value if slope_ramp is None else (value, 0.0)
     out = np.where(arr <= lo, below, above)
     inside = arr > lo
     inside &= arr < hi
+    if slope_ramp is None:
+        if inside.any():
+            out[inside] = ramp(arr[inside])
+        return out
+    slope = np.zeros(out.shape)
     if inside.any():
-        out[inside] = ramp(arr[inside])
-    return out
+        ramped = arr[inside]
+        out[inside] = ramp(ramped)
+        slope[inside] = slope_ramp(ramped)
+    return out, slope
 
 
 def _nor_ramp(z):
@@ -74,24 +96,31 @@ def _purify_ramp_prime(z):
     return 288.0 * t * (2.0 - 3.0 * z) - 432.0 * t**2
 
 
-def nor_gate(z):
-    """High (1) when z <= 1/4, low (0) when z >= 1/2, cubic ramp between."""
-    return _switch(_as_finite(z), 0.25, 0.5, 1.0, 0.0, _nor_ramp)
+def nor_gate(z, slope: bool = False):
+    """High (1) when z <= 1/4, low (0) when z >= 1/2, cubic ramp between.
+
+    ``slope=True`` returns ``(value, nor_gate_prime(z))`` from one call.
+    """
+    return _switch(z, 0.25, 0.5, 1.0, 0.0, _nor_ramp, _nor_ramp_prime if slope else None)
 
 
 def nor_gate_prime(z):
     """Derivative of ``nor_gate``; bounded by 6 in absolute value."""
-    return _switch(_as_finite(z), 0.25, 0.5, 0.0, 0.0, _nor_ramp_prime)
+    return _switch(z, 0.25, 0.5, 0.0, 0.0, _nor_ramp_prime)
 
 
-def purify_gate(z):
-    """0 when z <= 5/12, 1 when z >= 7/12, cubic ramp between."""
-    return _switch(_as_finite(z), 5.0 / 12.0, 7.0 / 12.0, 0.0, 1.0, _purify_ramp)
+def purify_gate(z, slope: bool = False):
+    """0 when z <= 5/12, 1 when z >= 7/12, cubic ramp between.
+
+    ``slope=True`` returns ``(value, purify_gate_prime(z))`` from one call.
+    """
+    return _switch(z, 5.0 / 12.0, 7.0 / 12.0, 0.0, 1.0, _purify_ramp,
+                   _purify_ramp_prime if slope else None)
 
 
 def purify_gate_prime(z):
     """Derivative of ``purify_gate``; bounded by 9 in absolute value."""
-    return _switch(_as_finite(z), 5.0 / 12.0, 7.0 / 12.0, 0.0, 0.0, _purify_ramp_prime)
+    return _switch(z, 5.0 / 12.0, 7.0 / 12.0, 0.0, 0.0, _purify_ramp_prime)
 
 
 def _check_m(m: int) -> int:
@@ -100,23 +129,30 @@ def _check_m(m: int) -> int:
     return int(m)
 
 
-def distance_threshold(z, m: int):
-    """0 when z <= 3m, 1 when z >= 3m+1, smoothstep -2t^3+3t^2 between."""
-    m = _check_m(m)
-
+def _threshold_ramps(m: int):
     def ramp(zz):
         t = zz - 3.0 * m
         return -2.0 * t**3 + 3.0 * t**2
 
-    return _switch(_as_finite(z), 3.0 * m, 3.0 * m + 1.0, 0.0, 1.0, ramp)
+    def ramp_prime(zz):
+        t = zz - 3.0 * m
+        return -6.0 * t**2 + 6.0 * t
+
+    return ramp, ramp_prime
+
+
+def distance_threshold(z, m: int, slope: bool = False):
+    """0 when z <= 3m, 1 when z >= 3m+1, smoothstep -2t^3+3t^2 between.
+
+    ``slope=True`` returns ``(value, distance_threshold_prime(z, m))``
+    from one call.
+    """
+    m = _check_m(m)
+    ramp, ramp_prime = _threshold_ramps(m)
+    return _switch(z, 3.0 * m, 3.0 * m + 1.0, 0.0, 1.0, ramp, ramp_prime if slope else None)
 
 
 def distance_threshold_prime(z, m: int):
     """Derivative of ``distance_threshold``; bounded by 3/2 in absolute value."""
     m = _check_m(m)
-
-    def ramp(zz):
-        t = zz - 3.0 * m
-        return -6.0 * t**2 + 6.0 * t
-
-    return _switch(_as_finite(z), 3.0 * m, 3.0 * m + 1.0, 0.0, 0.0, ramp)
+    return _switch(z, 3.0 * m, 3.0 * m + 1.0, 0.0, 0.0, _threshold_ramps(m)[1])

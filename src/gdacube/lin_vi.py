@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pure_circuit import json_int
+
 __all__ = ["LinVIInstance", "SlackReport", "check_solution", "resolve_rho",
            "brute_force_solve", "gen_random"]
 
@@ -50,7 +52,7 @@ class LinVIInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LinVIInstance":
-        return cls(m=int(d["m"]), D=np.array(d["D"], dtype=float),
+        return cls(m=json_int(d["m"], "m"), D=np.array(d["D"], dtype=float),
                    c=np.array(d["c"], dtype=float), rho=float(d["rho"]))
 
 

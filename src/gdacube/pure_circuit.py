@@ -9,6 +9,7 @@ always produces at least one pure output.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,6 +23,19 @@ __all__ = [
     "verify_assignment",
     "gen_example",
 ]
+
+
+def json_int(value, what: str) -> int:
+    """An integer field read from a JSON artifact.
+
+    Refuses, with TypeError, a value that is not a number or not integral
+    (``4.5``, ``"4"``, ``true``) instead of truncating it as ``int()`` would.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 class Trit(Enum):
@@ -50,9 +64,11 @@ class PureCircuitInstance:
     @classmethod
     def from_json_dict(cls, d: dict) -> "PureCircuitInstance":
         return cls(
-            kappa=int(d["kappa"]),
-            nor_gates=tuple(tuple(int(x) for x in g) for g in d.get("nor", [])),
-            purify_gates=tuple(tuple(int(x) for x in g) for g in d.get("purify", [])),
+            kappa=json_int(d["kappa"], "kappa"),
+            nor_gates=tuple(tuple(json_int(x, "gate vertex") for x in g)
+                            for g in d.get("nor", [])),
+            purify_gates=tuple(tuple(json_int(x, "gate vertex") for x in g)
+                               for g in d.get("purify", [])),
         )
 
 

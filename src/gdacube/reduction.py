@@ -14,12 +14,15 @@ The objective couples three pieces:
 The logical level of a vertex is distance_threshold(||x^q - y^q||^2, m),
 and the link value is H_q = sum_i <D x_i^q + c, y_i^q - x_i^q>.
 
-``build_instance`` compiles the circuit once into index tables
+``build_instance`` compiles the circuit once into a gather plan
 (:class:`GateTables`). The objective, the gradient and ``diagnostics``
-share one forward path: ``_batch_parts`` computes distances, levels and
-links for a (B, d) batch, and the gate terms are then evaluated with one
-call per gate function over the whole (B, #gates) table. Sums run in
-gate order, so results equal those of a gate-by-gate loop bit for bit.
+share one forward path: ``_batch_parts`` computes distances and links
+for a (B, d) batch, and the levels and gate terms are then evaluated
+over whole (B, #gates) tables with three gate calls in all: the distance
+threshold, NOR, and PURIFY on its +1/4 and -1/4 arguments at once. The
+gradient takes value and slope from each call, the objective the value.
+Sums run in gate order, so results equal those of a gate-by-gate loop
+bit for bit.
 
 Gradients are available through two independent routes: ``eval_grad``
 aggregates per-vertex gate values and noise terms first, while
@@ -48,7 +51,7 @@ from .gates import (
     purify_gate_prime,
 )
 from .lin_vi import LinVIInstance
-from .pure_circuit import PureCircuitInstance, validate_instance
+from .pure_circuit import PureCircuitInstance, json_int, validate_instance
 
 __all__ = [
     "CapExceededError",
@@ -192,30 +195,49 @@ _BOUNDS_NOTE = (
 
 @dataclass(frozen=True)
 class GateTables:
-    """The circuit compiled to index arrays, once per instance.
+    """The circuit compiled to a gather plan, once per instance.
 
-    ``nor`` and ``purify`` are (3, #gates) arrays whose rows are the u, v
-    and w columns of each gate kind, in the circuit's gate order.
+    Gate arguments: ``nor_uv`` lists the NOR inputs u, then v, so the
+    NOR arguments are ``lam[:, nor_uv]`` with its two halves added;
+    ``purify_uu`` lists the PURIFY inputs twice, and adding
+    ``purify_shift`` (+1/4 for the first copy, -1/4 for the second)
+    gives the arguments of the plus and the minus outputs in one table.
 
-    ``producers`` holds one (vertices, columns) pair per gate-output
-    table, in the order NOR output, PURIFY plus output, PURIFY minus
-    output: vertex ``vertices[k]`` reads its gate value from column
-    ``columns[k]`` of that table. A vertex with several producers keeps
-    the last one in gate order (NOR gates, then PURIFY gates with the
-    plus output before the minus output); one with none is not listed
-    and reads 0.
+    ``links`` gathers the link value of each gate term: NOR output w, then
+    PURIFY output v, then PURIFY output w.
 
-    The noise contributions form a (B, 2 #nor + #purify) table: NOR
-    feedback to u, then to v, then PURIFY feedback to u. ``noise_passes``
-    scatters it as (vertices, columns) pairs with distinct vertices per
-    pass; pass k adds each vertex's k-th contribution in gate order, so
-    every vertex sums its terms in the order of a gate-by-gate loop.
+    ``producer[q]`` is the column of vertex q's gate value in the
+    (B, #nor + 2 #purify + 1) table [NOR | PURIFY plus | PURIFY minus | 0].
+    A vertex with several producers keeps the last one in gate order (NOR
+    gates, then PURIFY gates with the plus output before the minus
+    output); one with none reads the trailing 0 column.
+
+    The noise contributions form a (B, 2 #nor + #purify + 1) table: NOR
+    feedback to u, then to v, then PURIFY feedback to u, then a 0 column.
+    Pass k adds each vertex's k-th contribution in gate order, so adding
+    the passes to a +0.0 accumulator sums every vertex's terms in the
+    order of a gate-by-gate loop. ``noise_first`` gives every vertex one
+    column (the 0 column for a vertex with no contribution); each later
+    pass is a (vertices, columns) pair that lists only the vertices with
+    a k-th contribution, so the plan holds one entry per noise term plus
+    kappa, however many gates one vertex feeds.
     """
 
-    nor: np.ndarray
-    purify: np.ndarray
-    producers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    nor_uv: np.ndarray
+    purify_uu: np.ndarray
+    purify_shift: np.ndarray
+    links: np.ndarray
+    producer: np.ndarray
+    noise_first: np.ndarray
     noise_passes: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def n_nor(self) -> int:
+        return self.nor_uv.size // 2
+
+    @property
+    def n_purify(self) -> int:
+        return self.purify_uu.size // 2
 
 
 def _index_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -224,25 +246,23 @@ def _index_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compile_gates(pc: PureCircuitInstance) -> GateTables:
-    """Index tables for one-call-per-gate-kind evaluation of ``pc``."""
+    """The gather plan for three-gate-call evaluation of ``pc``."""
     for node in (x for g in pc.nor_gates + pc.purify_gates for x in g):
         if not 0 <= node < pc.kappa:
             raise ValidationError([f"gate vertex {node} outside [0, {pc.kappa})"])
-    nor = np.array(pc.nor_gates, dtype=np.intp).reshape(-1, 3).T.copy()
-    purify = np.array(pc.purify_gates, dtype=np.intp).reshape(-1, 3).T.copy()
+    nor = np.array(pc.nor_gates, dtype=np.intp).reshape(-1, 3).T
+    purify = np.array(pc.purify_gates, dtype=np.intp).reshape(-1, 3).T
+    n_nor, n_purify = nor.shape[1], purify.shape[1]
 
-    last: dict[int, tuple[int, int]] = {}  # vertex -> (output table, column)
+    n_values = n_nor + 2 * n_purify  # the 0 column of the value table
+    producer = np.full(pc.kappa, n_values, dtype=np.intp)
     for col, (_u, _v, w) in enumerate(pc.nor_gates):
-        last[w] = (0, col)
+        producer[w] = col
     for col, (_u, v, w) in enumerate(pc.purify_gates):
-        last[v] = (1, col)
-        last[w] = (2, col)
-    producers = tuple(
-        _index_pairs([(q, col) for q, (t, col) in last.items() if t == table])
-        for table in range(3)
-    )
+        producer[v] = n_nor + col
+        producer[w] = n_nor + n_purify + col
 
-    n_nor = len(pc.nor_gates)
+    n_terms = 2 * n_nor + n_purify  # the 0 column of the noise table
     contributions = []  # (target vertex, column) in gate-loop order
     for col, (u, v, _w) in enumerate(pc.nor_gates):
         contributions += [(u, col), (v, n_nor + col)]
@@ -255,8 +275,17 @@ def _compile_gates(pc: PureCircuitInstance) -> GateTables:
             passes.append([])
         passes[seen[target]].append((target, col))
         seen[target] += 1
-    return GateTables(nor=nor, purify=purify, producers=producers,
-                      noise_passes=tuple(_index_pairs(p) for p in passes))
+    first = np.full(pc.kappa, n_terms, dtype=np.intp)
+    if passes:
+        vertices, columns = _index_pairs(passes[0])
+        first[vertices] = columns
+    return GateTables(
+        nor_uv=np.concatenate((nor[0], nor[1])),
+        purify_uu=np.concatenate((purify[0], purify[0])),
+        purify_shift=np.repeat([0.25, -0.25], n_purify),
+        links=np.concatenate((nor[2], purify[1], purify[2])),
+        producer=producer, noise_first=first,
+        noise_passes=tuple(_index_pairs(p) for p in passes[1:]))
 
 
 @dataclass
@@ -309,11 +338,15 @@ class GdaInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GdaInstance":
-        return build_instance(
+        inst = build_instance(
             PureCircuitInstance.from_json_dict(d["pc"]),
             LinVIInstance.from_json_dict(d["vi"]),
             GdaParams.from_json_dict(d["params"]),
         )
+        stored = json_int(d["d"], "d")
+        if stored != inst.d:
+            raise ValidationError([f"stored d = {stored} differs from kappa*n*m = {inst.d}"])
+        return inst
 
 
 def _conservative_bounds(pc: PureCircuitInstance, kappa: int, n: int, m: int,
@@ -415,83 +448,90 @@ def _check_point(inst: GdaInstance, p: JointPoint):
 
 
 def _batch_parts(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
-    """Distances, logical levels and link values for a (B, d) batch."""
+    """Differences, squared distances, D x + c and link values for a (B, d) batch."""
     B = X.shape[0]
     shape = (B, inst.kappa, inst.n, inst.m)
     Xr, Yr = X.reshape(shape), Y.reshape(shape)
     diff = Xr - Yr
     dist_sq = np.einsum("bqnm,bqnm->bq", diff, diff)
-    lam = distance_threshold(dist_sq, inst.m)
     dx_c = Xr @ inst.vi.D.T + inst.vi.c
     H = np.einsum("bqnm,bqnm->bq", dx_c, -diff)
-    return Xr, Yr, diff, dist_sq, lam, dx_c, H
+    return diff, dist_sq, dx_c, H
 
 
-def _gate_outputs(inst: GdaInstance, lam):
-    """NOR output, PURIFY plus output and PURIFY minus output of every gate, batched."""
-    (nu, nv, _), (pu, _, _) = inst.gates.nor, inst.gates.purify
-    b = lam[:, pu]
-    return nor_gate(lam[:, nu] + lam[:, nv]), purify_gate(b + 0.25), purify_gate(b - 0.25)
+def _gate_args(tables: GateTables, lam):
+    """Arguments of the NOR gates and of the PURIFY [plus | minus] outputs, batched."""
+    uv = lam[:, tables.nor_uv]
+    n_nor = tables.n_nor
+    return uv[:, :n_nor] + uv[:, n_nor:], lam[:, tables.purify_uu] + tables.purify_shift
 
 
-def _noise_terms(inst: GdaInstance, dist_sq, lam, H):
-    """The (B, 2 #nor + #purify) noise-contribution table of ``GateTables``.
+def _node_aggregates(inst: GdaInstance, lam, lam_p, H):
+    """Gate values s_q and noise feedback for every vertex, batched.
 
-    Products are formed in place, left to right as in the per-gate
-    formulas, so that a (65536, d) batch needs no larger temporaries than
-    the gradient assembly that follows.
+    One value-and-slope call per gate kind. Each table is dropped as soon
+    as the next is formed, so that a (65536, d) batch needs no larger
+    temporaries than the gradient assembly that follows. Products are
+    taken left to right as in the per-gate formulas.
     """
-    (nu, nv, nw), (pu, pv, pw) = inst.gates.nor, inst.gates.purify
-    n_nor = nu.size
-    lam_p = distance_threshold_prime(dist_sq, inst.m)
-    terms = np.empty((lam.shape[0], 2 * n_nor + pu.size))
-    b = lam[:, pu]
-    to_pu = terms[:, 2 * n_nor:]
-    np.multiply(purify_gate_prime(b + 0.25), H[:, pv], out=to_pu)
-    to_pu += purify_gate_prime(b - 0.25) * H[:, pw]
-    to_pu *= lam_p[:, pu]
-    gp = nor_gate_prime(lam[:, nu] + lam[:, nv])
-    Hw = H[:, nw]
-    for col, inputs in ((0, nu), (n_nor, nv)):
-        to_in = terms[:, col:col + n_nor]
-        np.multiply(gp, lam_p[:, inputs], out=to_in)
-        to_in *= Hw
-    return terms
-
-
-def _node_aggregates(inst: GdaInstance, dist_sq, lam, H):
-    """Gate values s_q and noise feedback for every vertex, batched."""
     tables = inst.gates
+    n_nor, n_purify = tables.n_nor, tables.n_purify
     B = lam.shape[0]
-    s = np.zeros((B, inst.kappa))
-    for out, (vertices, columns) in zip(_gate_outputs(inst, lam), tables.producers):
-        s[:, vertices] = out[:, columns]
-    terms = _noise_terms(inst, dist_sq, lam, H)
+    nor_args, purify_args = _gate_args(tables, lam)
+    nor_val, nor_slope = nor_gate(nor_args, slope=True)
+    purify_val, purify_slope = purify_gate(purify_args, slope=True)
+    del nor_args, purify_args
+    zero = np.zeros((B, 1))
+    s = np.concatenate((nor_val, purify_val, zero), axis=1)[:, tables.producer]
+    del nor_val, purify_val
+
+    links = H[:, tables.links]
+    to_nor = lam_p[:, tables.nor_uv].reshape(B, 2, n_nor)  # to u, then to v
+    to_nor *= nor_slope[:, None, :]
+    to_nor *= links[:, None, :n_nor]
+    purify_slope *= links[:, n_nor:]
+    to_pu = purify_slope[:, :n_purify] + purify_slope[:, n_purify:]
+    to_pu *= lam_p[:, tables.purify_uu[:n_purify]]
+    del links, nor_slope, purify_slope
+    terms = np.concatenate((to_nor.reshape(B, 2 * n_nor), to_pu, zero), axis=1)
+    del to_nor, to_pu
+
     noise = np.zeros((B, inst.kappa))
+    noise += terms[:, tables.noise_first]
     for vertices, columns in tables.noise_passes:
         noise[:, vertices] += terms[:, columns]
     return s, noise
 
 
 def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    _, _, diff, _, lam, _, H = _batch_parts(inst, X, Y)
-    (_, _, nw), (_, pv, pw) = inst.gates.nor, inst.gates.purify
-    nor_out, plus, minus = _gate_outputs(inst, lam)
-    n_nor = nor_out.shape[1]
+    diff, dist_sq, dx_c, H = _batch_parts(inst, X, Y)
+    del dx_c  # unused here; freeing it lowers finite_diff_grad's peak memory
+    lam = distance_threshold(dist_sq, inst.m)
+    del dist_sq
+    tables = inst.gates
+    n_nor, n_purify = tables.n_nor, tables.n_purify
+    nor_args, purify_args = _gate_args(tables, lam)
+    nor_val, purify_val = nor_gate(nor_args), purify_gate(purify_args)
+    links = H[:, tables.links]
     # One column per gate term in gate order, after a leading 0.0: the
     # running sum along a row then adds the terms exactly as a loop would.
-    terms = np.zeros((X.shape[0], 1 + n_nor + 2 * plus.shape[1]))
-    terms[:, 1:1 + n_nor] = nor_out * H[:, nw]
-    terms[:, 1 + n_nor::2] = plus * H[:, pv]
-    terms[:, 2 + n_nor::2] = minus * H[:, pw]
+    terms = np.zeros((X.shape[0], 1 + n_nor + 2 * n_purify))
+    np.multiply(nor_val, links[:, :n_nor], out=terms[:, 1:1 + n_nor])
+    np.multiply(purify_val[:, :n_purify], links[:, n_nor:n_nor + n_purify],
+                out=terms[:, 1 + n_nor::2])
+    np.multiply(purify_val[:, n_purify:], links[:, n_nor + n_purify:],
+                out=terms[:, 2 + n_nor::2])
     total = np.add.accumulate(terms, axis=1)[:, -1]
     total += np.einsum("n,bqn->b", inst.M, (diff**2).sum(axis=3))
     return total
 
 
 def _grad_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
-    Xr, Yr, diff, dist_sq, lam, dx_c, H = _batch_parts(inst, X, Y)
-    s, noise = _node_aggregates(inst, dist_sq, lam, H)
+    diff, dist_sq, dx_c, H = _batch_parts(inst, X, Y)
+    lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
+    del dist_sq  # freeing each (B, kappa) table early lowers a grid chunk's peak memory
+    s, noise = _node_aggregates(inst, lam, lam_p, H)
+    del lam, lam_p, H
     dt_yx = -diff @ inst.vi.D
     coef = 2.0 * (inst.M[None, None, :, None] + noise[:, :, None, None])
     s4 = s[:, :, None, None]
@@ -599,8 +639,9 @@ def diagnostics(inst: GdaInstance, p: JointPoint) -> NodeDiagnostics:
     without a producing gate reads a gate value of 0.
     """
     _check_point(inst, p)
-    _, _, diff, dist_sq, lam, _, H = _batch_parts(inst, p.x[None, :], p.y[None, :])
-    s, noise = _node_aggregates(inst, dist_sq, lam, H)
+    diff, dist_sq, _, H = _batch_parts(inst, p.x[None, :], p.y[None, :])
+    lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
+    s, noise = _node_aggregates(inst, lam, lam_p, H)
     return NodeDiagnostics(gate_value=s[0], noise=noise[0], link=H[0],
                            dist_sq=dist_sq[0], dist_l1=np.abs(diff[0]).sum(axis=(1, 2)),
                            bit=lam[0])

@@ -106,8 +106,7 @@ def check_stationary(inst: GdaInstance, p: JointPoint, eps: float) -> Stationari
 def _row_violations(X, Y, GX, GY) -> np.ndarray:
     """Worst endpoint violation of each row, ``max(vx.max(), vy.max())`` per row."""
     vx, vy = _violation_arrays(X, Y, GX, GY)
-    vx, vy = vx.max(axis=1), vy.max(axis=1)
-    return np.where(vy > vx, vy, vx)
+    return np.maximum(vx, vy, out=vx).max(axis=1)
 
 
 # Restarts run as the rows of one batch, in groups of at most this many

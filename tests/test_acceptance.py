@@ -141,8 +141,9 @@ def test_criterion_3_structural_identities():
         X = rng.uniform(0, 1, (334, inst.d))
         Y = rng.uniform(0, 1, (334, inst.d))
         GX, GY = _grad_many(inst, X, Y)
-        _, _, diff, dist_sq, lam, _, H = _batch_parts(inst, X, Y)
-        s, _ = _node_aggregates(inst, dist_sq, lam, H)
+        diff, dist_sq, _, H = _batch_parts(inst, X, Y)
+        lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
+        s, _ = _node_aggregates(inst, lam, lam_p, H)
         want = (s[:, :, None, None] * (-diff @ inst.vi.D)).reshape(334, inst.d)
         err = np.abs(GX + GY - want).max() / max(1.0, np.abs(GX).max())
         checks.append((err <= 1e-12, f"{name}: sum identity error {err}"))

@@ -221,7 +221,15 @@ VI1 = {"m": 1, "D": [[0.5]], "c": [0.2], "rho": 0.1}
     ({"kappa": 0, "nor": [], "purify": []}, VI1, cli.EXIT_VALIDATION),
     ({"nor": [[1, 2, 0]], "purify": [[0, 1, 2]]}, VI1, cli.EXIT_PARSE),
     ({**RING3_PC, "kappa": None}, VI1, cli.EXIT_PARSE),
-], ids=["nan-in-D", "nan-in-c", "infinite-rho", "kappa-0", "no-kappa-key", "null-kappa"])
+    ({**RING3_PC, "kappa": 3.5}, VI1, cli.EXIT_PARSE),
+    ({**RING3_PC, "kappa": "3"}, VI1, cli.EXIT_PARSE),
+    (RING3_PC, {**VI1, "m": 1.5}, cli.EXIT_PARSE),
+    (RING3_PC, {**VI1, "m": "1"}, cli.EXIT_PARSE),
+    ({**RING3_PC, "nor": [[1, 2.5, 0]]}, VI1, cli.EXIT_PARSE),
+    ({**RING3_PC, "purify": [[0, "1", 2]]}, VI1, cli.EXIT_PARSE),
+], ids=["nan-in-D", "nan-in-c", "infinite-rho", "kappa-0", "no-kappa-key", "null-kappa",
+        "fractional-kappa", "string-kappa", "fractional-m", "string-m",
+        "fractional-vertex", "string-vertex"])
 def test_malformed_build_inputs_exit_with_their_code(tmp_path, pc, vi, code):
     pc_path, vi_path = tmp_path / "pc.json", tmp_path / "vi.json"
     pc_path.write_text(json.dumps(pc))
@@ -238,6 +246,19 @@ def test_non_integer_copy_count_is_a_validation_error(workspace, tmp_path):
     bad = tmp_path / "bad_inst.json"
     bad.write_text(json.dumps(blob))
     assert run("eval", "--instance", bad, "--point", point) == cli.EXIT_VALIDATION
+
+
+# the workspace instance has d = kappa*n*m = 3*2*1 = 6
+@pytest.mark.parametrize("d, code", [(7, cli.EXIT_VALIDATION), (6.5, cli.EXIT_PARSE),
+                                     ("6", cli.EXIT_PARSE)])
+def test_stored_dimension_must_be_kappa_n_m(workspace, tmp_path, d, code):
+    *_, inst_path, point, instance = workspace
+    blob = json.loads(inst_path.read_text())
+    assert blob["d"] == instance.d == 6
+    blob["d"] = d
+    bad = tmp_path / "bad_inst.json"
+    bad.write_text(json.dumps(blob))
+    assert run("eval", "--instance", bad, "--point", point) == code
 
 
 @pytest.mark.parametrize("epsilon, delta", [("inf", 0.5), (1e-3, "inf"), ("inf", "inf")])

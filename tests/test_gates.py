@@ -229,3 +229,48 @@ def test_kernels_match_the_whole_array_formula_bit_for_bit(fn, formula, breaks):
             got = fn(arg)
             assert type(got) is float
             assert _bits(got) == _bits(float(formula(np.asarray(z))))
+
+
+# (value-and-slope call, value formula, slope formula, breakpoints)
+FUSED = [
+    (lambda z: nor_gate(z, slope=True), whole_array(0.25, 0.5, 1.0, 0.0, _nor),
+     whole_array(0.25, 0.5, 0.0, 0.0, _nor_d), (0.25, 0.5)),
+    (lambda z: purify_gate(z, slope=True), whole_array(5 / 12, 7 / 12, 0.0, 1.0, _pur),
+     whole_array(5 / 12, 7 / 12, 0.0, 0.0, _pur_d), (5 / 12, 7 / 12)),
+] + [
+    (lambda z, m=m: distance_threshold(z, m, slope=True),
+     whole_array(3 * m, 3 * m + 1, 0.0, 1.0, _dist(m)),
+     whole_array(3 * m, 3 * m + 1, 0.0, 0.0, _dist_d(m)), (3.0 * m, 3.0 * m + 1.0))
+    for m in (1, 2, 3)
+]
+FUSED_IDS = ["nor", "purify", "threshold-m1", "threshold-m2", "threshold-m3"]
+
+
+@pytest.mark.parametrize("fused,value,slope,breaks", FUSED, ids=FUSED_IDS)
+def test_value_and_slope_form_matches_both_formulas_bit_for_bit(fused, value, slope, breaks):
+    lo, hi = breaks
+    points = [0.25, 0.5, 5 / 12, 7 / 12, 3.0, 4.0, 6.0, 7.0, 9.0, 10.0, (lo + hi) / 2]
+    edges = np.array([q for b in points
+                      for q in (b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf))])
+    rng = np.random.default_rng(6)
+    arrays = [edges, edges.reshape(-1, 3), rng.uniform(lo - 0.5, hi + 0.5, 4096),
+              rng.uniform(lo, hi, (64, 17)), np.full((3, 4), lo - 1.0), np.empty((2, 0))]
+    for z in arrays:
+        got_value, got_slope = fused(z)
+        for got, formula in ((got_value, value), (got_slope, slope)):
+            assert isinstance(got, np.ndarray) and got.shape == z.shape
+            assert np.array_equal(_bits(got), _bits(formula(z)))
+    # a scalar in gives a pair of floats out
+    for z in list(edges) + list(rng.uniform(lo, hi, 64)):
+        for arg in (float(z), np.float64(z), np.array(z)):
+            got = fused(arg)
+            assert type(got) is tuple and all(type(g) is float for g in got)
+            assert _bits(got[0]) == _bits(float(value(np.asarray(z))))
+            assert _bits(got[1]) == _bits(float(slope(np.asarray(z))))
+
+
+@pytest.mark.parametrize("fused", [f[0] for f in FUSED], ids=FUSED_IDS)
+def test_value_and_slope_form_refuses_non_finite_input(fused):
+    for bad in (float("nan"), float("-inf"), np.array([[0.3, 0.4], [0.1, np.nan]])):
+        with pytest.raises(ValueError, match="gate argument must be finite"):
+            fused(bad)

@@ -298,6 +298,24 @@ def test_finite_diff_memory_is_bounded():
     assert peak < 40e6
 
 
+def test_grid_chunk_gradient_memory_is_bounded():
+    # one grid_search chunk at the grid benchmark's shape (ring-4, m = n = 1,
+    # d = 4): each (65536, 4) array is 2 MiB, so keeping two more gate tables
+    # alive than needed shows; the gate-table core peaked at 24.0 MiB
+    inst = build_instance(gen_example("ring", 4, 0), gen_random(1, 0),
+                          GdaParams(n=1, epsilon=1e-3, delta=0.5))
+    assert inst.d == 4
+    rng = np.random.default_rng(0)
+    X, Y = rng.uniform(0, 1, (2, 65536, inst.d))
+    tracemalloc.start()
+    try:
+        _grad_many(inst, X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20
+
+
 @pytest.mark.parametrize("name", ["ring3-m1-n1", "ring3-m2-n4", "tree6-m2-n8"])
 def test_gradient_sum_identity(name, shape_instances):
     # adding the two gradient lines cancels everything except the
@@ -411,7 +429,8 @@ def loop_node_aggregates(inst, dist_sq, lam, H):
 
 def loop_f_many(inst, X, Y):
     """Reference objective: gate terms added one gate at a time."""
-    _, _, diff, _, lam, _, H = _batch_parts(inst, X, Y)
+    diff, dist_sq, _, H = _batch_parts(inst, X, Y)
+    lam = distance_threshold(dist_sq, inst.m)
     total = np.zeros(X.shape[0])
     for u, v, w in inst.pc.nor_gates:
         total += nor_gate(lam[:, u] + lam[:, v]) * H[:, w]
@@ -483,12 +502,14 @@ def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
         # so a sum taken in another order shows in the last bits
         synthetic = (3 * m + rng.uniform(-0.2, 1.2, (B, pc.kappa)),
                      rng.uniform(0.0, 0.9, (B, pc.kappa)), rng.normal(size=(B, pc.kappa)))
-        got = _node_aggregates(inst, *synthetic)
+        dist_sq, lam, H = synthetic
+        got = _node_aggregates(inst, lam, distance_threshold_prime(dist_sq, m), H)
         want = loop_node_aggregates(inst, *synthetic)
         assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
         X, Y = batch_near_ramps(inst, rng, B)
-        _, _, _, dist_sq, lam, _, H = _batch_parts(inst, X, Y)
-        got = _node_aggregates(inst, dist_sq, lam, H)
+        _, dist_sq, _, H = _batch_parts(inst, X, Y)
+        lam, lam_p = distance_threshold(dist_sq, m, slope=True)
+        got = _node_aggregates(inst, lam, lam_p, H)
         want = loop_node_aggregates(inst, dist_sq, lam, H)
         assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
         assert bit_equal(_f_many(inst, X, Y), loop_f_many(inst, X, Y))
@@ -503,17 +524,43 @@ def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
 def test_gate_tables_resolve_repeated_producers_at_compile_time():
     tables = build_instance(TANGLED, gen_random(1, 0), GdaParams(n=1, epsilon=1e-3, delta=0.5),
                             validate=False).gates
-    owner = {}
-    for table, (vertices, columns) in enumerate(tables.producers):
-        for q, col in zip(vertices.tolist(), columns.tolist()):
-            assert q not in owner
-            owner[q] = (table, col)
+    # value table [NOR 0-2 | PURIFY plus 3-4 | PURIFY minus 5-6 | 0 column 7]
     # last producer in gate order: NOR gates, then each PURIFY gate's plus
-    # output before its minus output; vertices 0, 2 and 4 have no producer
-    assert owner == {1: (2, 1), 3: (1, 1)}
-    assert len(tables.noise_passes) == 5
-    for vertices, _columns in tables.noise_passes:
-        assert len(set(vertices.tolist())) == len(vertices)
+    # output before its minus output, so vertex 1 reads PURIFY 1 minus and
+    # vertex 3 PURIFY 1 plus; vertices 0, 2 and 4 have no producer
+    assert tables.producer.tolist() == [7, 6, 7, 4, 7]
+    # noise table [NOR to u 0-2 | NOR to v 3-5 | PURIFY to u 6-7 | 0 column 8];
+    # vertex 0 takes five terms, vertex 2 two, vertex 1 one
+    assert tables.noise_first.tolist() == [0, 4, 5, 8, 8]
+    assert [(v.tolist(), c.tolist()) for v, c in tables.noise_passes] == [
+        ([0, 2], [3, 7]), ([0], [1]), ([0], [2]), ([0], [6])]
+    assert tables.nor_uv.tolist() == [0, 0, 0, 0, 1, 2]
+    assert tables.purify_uu.tolist() == [0, 2, 0, 2]
+    assert tables.purify_shift.tolist() == [0.25, 0.25, -0.25, -0.25]
+    assert tables.links.tolist() == [1, 1, 3, 1, 3, 3, 1]
+
+
+def test_gate_tables_stay_linear_in_the_noise_terms_around_a_hub():
+    # a valid circuit in which vertices 0 and 1 feed every NOR gate: one pass
+    # per noise term of the hub, so a plan with a kappa-wide index per pass
+    # would hold ~kappa^2 entries
+    kappa = 2000
+    pc = PureCircuitInstance(kappa, nor_gates=((2, 3, 0), (2, 3, 1))
+                             + tuple((0, 1, v) for v in range(2, kappa)))
+    inst = build_instance(pc, gen_random(1, 0), GdaParams(n=1, epsilon=1e-3, delta=0.5))
+    tables = inst.gates
+    n_terms = 2 * tables.n_nor + tables.n_purify
+    assert len(tables.noise_passes) == kappa - 3
+    plan = tables.noise_first.size + sum(v.size + c.size for v, c in tables.noise_passes)
+    assert plan <= kappa + 2 * n_terms
+    rng = np.random.default_rng(0)
+    dist_sq = 3.0 + rng.uniform(-0.2, 1.2, (2, kappa))
+    lam, H = rng.uniform(0.0, 0.9, (2, kappa)), rng.normal(size=(2, kappa))
+    # hub levels and distances inside the ramps, so every hub term is nonzero
+    lam[:, :2], dist_sq[:, :2] = 0.2, 3.5
+    got = _node_aggregates(inst, lam, distance_threshold_prime(dist_sq, 1), H)
+    want = loop_node_aggregates(inst, dist_sq, lam, H)
+    assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
 
 
 def test_gate_tables_refuse_vertices_outside_the_circuit():

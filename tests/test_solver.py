@@ -363,8 +363,8 @@ def test_batched_restarts_non_finite_rows(shape_instances, monkeypatch):
     # rows whose first coordinate leaves [0.3, 0.7] get a NaN gradient and so
     # a non-finite iterate; whether that raises depends on whether an earlier
     # restart reaches the target first, as in the sequential loop. Plain
-    # ascent-descent only: with extrapolation the NaN would reach the gates
-    # at the extrapolated point, which refuse it before any iterate check.
+    # ascent-descent only: with extrapolation the NaN reaches the gates at
+    # the extrapolated point first (see the next test).
     inst = shape_instances["ring3-m2-n4"]
     grad_many = solver._grad_many
 
@@ -383,3 +383,24 @@ def test_batched_restarts_non_finite_rows(shape_instances, monkeypatch):
             assert _outcome(lambda: projected_gda(inst, p0, cfg)) == want
             outcomes.add(want.startswith("raised"))
     assert outcomes == {True, False}
+
+
+def test_extragradient_gates_refuse_a_non_finite_gradient(shape_instances, monkeypatch):
+    # a NaN gradient survives np.clip into the extrapolated point, whose
+    # value-and-slope gate call refuses it before any iterate check
+    inst = shape_instances["ring3-m2-n4"]
+    grad_many = solver._grad_many
+    finite_inputs = []
+
+    def poisoned(inst, X, Y):
+        finite_inputs.append(bool(np.isfinite(X).all() and np.isfinite(Y).all()))
+        GX, GY = grad_many(inst, X, Y)
+        GX[:, 0] = np.nan
+        return GX, GY
+
+    monkeypatch.setattr(solver, "_grad_many", poisoned)
+    p0 = JointPoint(np.full(inst.d, 0.5), np.full(inst.d, 0.5))
+    cfg = SolverConfig(step=0.05, max_iters=30, restarts=3, seed=0, target=0.0)
+    with pytest.raises(ValueError, match="gate argument must be finite"):
+        extragradient(inst, p0, cfg)
+    assert finite_inputs == [True, False]
