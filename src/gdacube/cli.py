@@ -84,10 +84,6 @@ def _load_as(cls, path: str):
         raise _ParseFailure(f"{path}: malformed {cls.__name__}: {e}") from e
 
 
-def _load_instance(path: str) -> GdaInstance:
-    return _load_as(GdaInstance, path)
-
-
 def _load_point(path: str, inst: GdaInstance) -> JointPoint:
     p = _load_as(JointPoint, path)
     if p.x.shape != (inst.d,):
@@ -132,7 +128,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load_as(GdaInstance, args.instance)
     p = _load_point(args.point, inst)
     value = eval_f(inst, p)
     print(f"f = {value!r}")
@@ -153,7 +149,16 @@ def _grad_check(inst: GdaInstance, points: int, seed: int, fd_step: float) -> di
         scale = max(np.abs(ga).max(), np.abs(gb).max(), 1.0)
         dual.append(np.abs(ga - gb).max() / scale)
         fd = np.concatenate(finite_diff_grad(inst, p, h=fd_step))
-        fd_ratio.append((np.abs(ga - fd) / np.maximum(1e-5 * np.abs(ga), 1e-8)).max())
+        # fd_j = (f(p + h e_j) - f(p - h e_j)) / 2h subtracts two values near
+        # f(p), each rounded to a few ulps of its magnitude, so fd_j carries
+        # a rounding error of up to ~c * eps * |f| / h whatever g_j is. The
+        # absolute floor is that bound with c = 8 (random points of ring and
+        # purify_tree instances stay below c = 1); |f| < 1 counts as 1.
+        floor = 8.0 * sys.float_info.epsilon * max(abs(eval_f(inst, p)), 1.0) / fd_step
+        if math.isinf(floor):  # every error would pass
+            raise ValueError(f"finite-difference step {fd_step!r} is so small that "
+                             "its rounding error overflows")
+        fd_ratio.append((np.abs(ga - fd) / np.maximum(1e-5 * np.abs(ga), floor)).max())
     # np.max keeps a NaN, so a NaN error fails the comparisons below
     worst_dual, worst_fd = float(np.max(dual)), float(np.max(fd_ratio))
     return {
@@ -166,7 +171,7 @@ def _grad_check(inst: GdaInstance, points: int, seed: int, fd_step: float) -> di
 
 
 def cmd_grad_check(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load_as(GdaInstance, args.instance)
     result = _grad_check(inst, args.points, args.seed, args.fd_step)
     _dump(result, args.out)
     if not result["pass"]:
@@ -197,14 +202,14 @@ def _run_solver(inst, args, p0_seed: int) -> SolverResult:
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load_as(GdaInstance, args.instance)
     p0_seed = int(np.random.SeedSequence(args.seed).generate_state(1)[0])
     _dump(_run_solver(inst, args, p0_seed).to_json_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load_as(GdaInstance, args.instance)
     p = _load_point(args.point, inst)
     out = decode(inst, p, rho=args.rho)
     _dump(out.to_json_dict(), args.out)
@@ -212,22 +217,25 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def cmd_audit(args) -> int:
-    inst = _load_instance(args.instance)
-    p = _load_point(args.point, inst)
-    _check_eps(args.eps)
-    audit = lemma_audit(inst, p, args.eps, rho=args.rho)
-    payload = {"lemmas": audit.to_json_dict()}
-    code = EXIT_OK
+def _verdict(audit) -> tuple[dict, int]:
+    """The ``dichotomy`` (or ``dichotomy_error``) block and the exit code of an audit."""
     try:
-        payload["dichotomy"] = dichotomy_check(audit).to_json_dict()
+        block, code = {"dichotomy": dichotomy_check(audit).to_json_dict()}, EXIT_OK
     except AuditError as e:
-        payload["dichotomy_error"] = str(e)
-        code = EXIT_AUDIT
+        block, code = {"dichotomy_error": str(e)}, EXIT_AUDIT
     if not audit.unconditional_hold:
         print("audit FAILED: an unconditional inequality does not hold", file=sys.stderr)
         code = EXIT_AUDIT
-    _dump(payload, args.out)
+    return block, code
+
+
+def cmd_audit(args) -> int:
+    inst = _load_as(GdaInstance, args.instance)
+    p = _load_point(args.point, inst)
+    _check_eps(args.eps)
+    audit = lemma_audit(inst, p, args.eps, rho=args.rho)
+    block, code = _verdict(audit)
+    _dump({"lemmas": audit.to_json_dict(), **block}, args.out)
     return code
 
 
@@ -250,10 +258,7 @@ def cmd_pipeline(args) -> int:
     t_decode = time.perf_counter()
     achieved = result.report.max_violation
     audit = lemma_audit(inst, point, achieved)
-    try:
-        dichotomy = dichotomy_check(audit).to_json_dict()
-    except AuditError as e:
-        dichotomy = {"error": str(e)}
+    verdict, code = _verdict(audit)
     t_done = time.perf_counter()
 
     run_report = {
@@ -266,18 +271,11 @@ def cmd_pipeline(args) -> int:
             "iters": args.iters, "restarts": args.restarts, "eps": args.eps,
             "h": args.h, "seed": args.seed,
         },
-        "instance": {
-            "d": inst.d,
-            "bounds": inst.bounds.to_json_dict(),
-            "params": inst.params.to_json_dict(),
-            "premises": inst.premises(),
-            "pc": pc.to_json_dict(),
-            "vi": vi.to_json_dict(),
-        },
+        "instance": {**inst.to_json_dict(), "premises": inst.premises()},
         "solver": result.to_json_dict(),
         "decode": outcome.to_json_dict(),
         "audit": audit.to_json_dict(),
-        "dichotomy": dichotomy,
+        **verdict,
     }
     if not args.no_timings:
         run_report["timings_sec"] = {
@@ -288,8 +286,8 @@ def cmd_pipeline(args) -> int:
         }
     _dump(run_report, args.out)
     print(f"pipeline: violation {achieved!r}, decode {outcome.kind}, "
-          f"audit {'ok' if audit.unconditional_hold else 'FAILED'}")
-    return EXIT_OK if audit.unconditional_hold else EXIT_AUDIT
+          f"audit {'ok' if code == EXIT_OK else 'FAILED'}")
+    return code
 
 
 # ------------------------------------------------------------------- parser

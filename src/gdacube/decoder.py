@@ -97,8 +97,9 @@ def _violation_dict(v: GateViolation) -> dict:
     return {"kind": v.kind, "index": v.index, "gate": list(v.gate), "reason": v.reason}
 
 
-def _copy_slacks(inst: GdaInstance, p: JointPoint) -> np.ndarray:
-    """Worst LinVI slack of every copy x_i^q, flat in scan order (q, then i).
+def _scan(inst: GdaInstance, p: JointPoint, rho: float):
+    """Worst LinVI slack of every copy x_i^q, flat in scan order (q, then i),
+    and the flat index of the first copy with worst >= -rho (None if none).
 
     Equal bit for bit to ``check_solution(inst.vi, x_i^q).worst`` per copy:
     the stacked mat-vec ``D @ z`` reproduces the per-row product, while
@@ -107,45 +108,32 @@ def _copy_slacks(inst: GdaInstance, p: JointPoint) -> np.ndarray:
     vi = inst.vi
     X = p.x.reshape(inst.kappa * inst.n, inst.m)
     V = np.matmul(vi.D, X[:, :, None])[:, :, 0] + vi.c
-    return np.minimum(V * (0.0 - X), V * (1.0 - X)).min(axis=1)
+    worst = np.minimum(V * (0.0 - X), V * (1.0 - X)).min(axis=1)
+    hits = np.flatnonzero(worst >= -rho)
+    return worst, int(hits[0]) if hits.size else None
 
 
 def find_linvi_witness(inst: GdaInstance, p: JointPoint, rho: float | None = None):
     """First (q, i) whose copy passes the LinVI check, plus the nearest miss.
 
     Returns ((q, i, z, report) or None, (best_q, best_i, best_slack)). The
-    slacks of all kappa*n copies come from one array pass; the copies are
-    ordered by ascending (q, i), and the nearest miss is the first copy of
-    largest worst slack among those before the witness, (-1, -1, -inf)
-    when there are none. Only the witness gets a full ``check_solution``.
+    copies are scanned in ascending (q, i), and the nearest miss is the
+    first copy of largest worst slack among those before the witness,
+    (-1, -1, -inf) when there are none. Only the witness gets a full
+    ``check_solution``.
     """
     rho = resolve_rho(inst.vi, rho)
-    worst = _copy_slacks(inst, p)
-    hits = np.flatnonzero(worst >= -rho)
-    stop = int(hits[0]) if hits.size else worst.size
+    worst, first = _scan(inst, p, rho)
+    before = worst[:first]
     best = (-1, -1, -np.inf)
-    if stop:
-        k = int(np.argmax(worst[:stop]))
-        q, r = divmod(k, inst.n)
-        best = (q, r + 1, float(worst[k]))
-    if stop == worst.size:
+    if before.size:
+        k = int(np.argmax(before))
+        best = (*inst.unindex(k * inst.m)[:2], float(worst[k]))
+    if first is None:
         return None, best
-    q, r = divmod(stop, inst.n)
-    z = p.x[stop * inst.m:(stop + 1) * inst.m].copy()
-    return (q, r + 1, z, check_solution(inst.vi, z, rho)), best
-
-
-def _threshold_assignment(inst: GdaInstance, p: JointPoint) -> Assignment:
-    diag = diagnostics(inst, p)
-    values = []
-    for level in diag.bit:
-        if level == 0.0:
-            values.append(Trit.ZERO)
-        elif level == 1.0:
-            values.append(Trit.ONE)
-        else:
-            values.append(Trit.BOT)
-    return Assignment(tuple(values))
+    q, i, _ = inst.unindex(first * inst.m)
+    z = p.x[first * inst.m:(first + 1) * inst.m].copy()
+    return (q, i, z, check_solution(inst.vi, z, rho)), best
 
 
 def decode(inst: GdaInstance, p: JointPoint, rho: float | None = None):
@@ -154,7 +142,8 @@ def decode(inst: GdaInstance, p: JointPoint, rho: float | None = None):
     if hit is not None:
         q, i, z, rep = hit
         return LinViWitness(q=q, i=i, z=z, report=rep)
-    b = _threshold_assignment(inst, p)
+    levels = {0.0: Trit.ZERO, 1.0: Trit.ONE}
+    b = Assignment(tuple(levels.get(level, Trit.BOT) for level in diagnostics(inst, p).bit))
     violations = tuple(verify_assignment(inst.pc, b))
     if not violations:
         return PcAssignment(assignment=b, violations=violations)
@@ -224,6 +213,7 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
             "inequalities only quantify over stationary points"
         )
     rho = resolve_rho(inst.vi, rho)
+    worst, first = _scan(inst, p, rho)
     diag = diagnostics(inst, p)
     kappa, n, m = inst.kappa, inst.n, inst.m
     delta = inst.delta
@@ -231,7 +221,7 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
     denom = np.abs(inst.M[None, :] + diag.noise[:, None])  # (kappa, n)
     active = denom != 0.0
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound_qi = np.where(
             active,
             3.0 * diag.gate_value[:, None] * m / denom + np.sqrt(eps / denom),
@@ -281,9 +271,8 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
         "premises": {"eps_le_delta_over_n": premises["eps_le_delta_over_n"]},
     }
 
-    passing = _copy_slacks(inst, p) >= -rho
     one_mask = diag.gate_value == 1.0
-    no_witness = one_mask & ~passing.reshape(kappa, n).any(axis=1)
+    no_witness = one_mask & ~(worst.reshape(kappa, n) >= -rho).any(axis=1)
     one_ok = diag.dist_sq[no_witness] >= 3.0 * m + 1.0 - AUDIT_SLACK
     cons_one = {
         "applicable": no_witness.tolist(),
@@ -295,8 +284,7 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
                       "n_ge_2^24_m^6_k^2_over_delta^4", "eps_le_delta^3_over_2^16_m^4_k^2")},
     }
 
-    k = int(np.argmax(passing))  # the first passing copy, if any
-    witness = (k // n, k % n + 1) if passing[k] else None
+    witness = None if first is None else inst.unindex(first * m)[:2]
     s, lam = diag.gate_value, diag.bit
     consistent = bool(np.all((s != 1.0) | (lam == 1.0)) and np.all((s != 0.0) | (lam == 0.0)))
 

@@ -323,9 +323,9 @@ class GdaInstance:
         return q, i + 1, j
 
     def premises(self) -> dict[str, bool]:
-        p = self.params
-        return parameter_premises(p.n, p.epsilon, p.delta, self.m, self.kappa,
-                                  Fraction(self.vi.rho) if p.mode == "paper" else self.vi.rho)
+        p = self.params  # exact, so no power of delta can overflow or vanish
+        return parameter_premises(*map(Fraction, (p.n, p.epsilon, p.delta)), self.m,
+                                  self.kappa, Fraction(self.vi.rho))
 
     def to_json_dict(self) -> dict:
         return {
@@ -346,6 +346,9 @@ class GdaInstance:
         stored = json_int(d["d"], "d")
         if stored != inst.d:
             raise ValidationError([f"stored d = {stored} differs from kappa*n*m = {inst.d}"])
+        if d["bounds"] != inst.bounds.to_json_dict():
+            raise ValidationError(["stored bounds differ from the ones recomputed "
+                                   "from pc, vi and params"])
         return inst
 
 
@@ -388,10 +391,15 @@ def build_instance(pc: PureCircuitInstance, vi: LinVIInstance, params: GdaParams
             f"instance dimension kappa*n*m = {kappa}*{params.n}*{m} exceeds cap {DIM_CAP}"
         )
     n = int(params.n)
-    M = float(params.delta) * (np.arange(1, n + 1, dtype=float) - n / 2.0)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        M = float(params.delta) * (np.arange(1, n + 1, dtype=float) - n / 2.0)
+        bounds = _conservative_bounds(pc, kappa, n, m, M)
+    if not all(math.isfinite(b) for b in (bounds.G, bounds.L, bounds.B)):  # G >= 2 max|M_i|
+        raise ValidationError([f"delta = {params.delta} overflows the regularizer "
+                               "weights M_i or the bounds G, L, B"])
     return GdaInstance(
         pc=pc, vi=vi, params=params, kappa=kappa, n=n, m=m, d=kappa * n * m,
-        M=M, bounds=_conservative_bounds(pc, kappa, n, m, M), gates=_compile_gates(pc),
+        M=M, bounds=bounds, gates=_compile_gates(pc),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,25 @@ def test_audit_exits_6_when_premises_hold_and_both_branches_fail(tmp_path, monke
     assert "dichotomy" not in payload
 
 
+def test_pipeline_exits_6_when_premises_hold_and_both_branches_fail(tmp_path, monkeypatch):
+    # the audit test's VI, and one tiny step from the random start at seed 0:
+    # no copy solves the VI, every level is 0 and the NOR gate reads 1
+    premises = GdaInstance.premises
+    monkeypatch.setattr(GdaInstance, "premises",
+                        lambda self: {k: True for k in premises(self)})
+    monkeypatch.setattr(cli, "gen_random", lambda m, seed, rho: LinVIInstance(
+        m=1, D=np.array([[0.0]]), c=np.array([1.0]), rho=rho))
+    out = tmp_path / "r.json"
+    assert run("pipeline", "--pc-size", 3, "--n", 1, "--method", "gda", "--step", 1e-9,
+               "--iters", 1, "--restarts", 1, "--seed", 0, "--no-timings",
+               "--out", out) == cli.EXIT_AUDIT
+    report = json.loads(out.read_text())
+    assert "yet all parameter premises hold" in report["dichotomy_error"]
+    assert "dichotomy" not in report
+    lemmas = report["audit"]
+    assert all(lemmas[k]["holds"] for k in ("coord_bound", "l1_bound", "noise_bound"))
+
+
 def test_pipeline_timings_included_by_default(tmp_path):
     out = tmp_path / "r.json"
     assert run("pipeline", "--seed", 1, "--iters", 50, "--out", out) == 0
@@ -272,6 +292,41 @@ def test_infinite_epsilon_or_delta_is_a_validation_error(workspace, tmp_path, ca
     assert not out.exists()
 
 
+def test_overflowing_delta_is_a_validation_error(workspace, tmp_path, capsys):
+    # delta * (i - n/2) overflows M_i, and with it the bounds G, L and B
+    _tmp, pc, vi, *_ = workspace
+    out = tmp_path / "big.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("build", "--pc", pc, "--vi", vi, "--n", 4, "--epsilon", 1e-3,
+                   "--delta", 1e308, "--out", out) == cli.EXIT_VALIDATION
+        assert run("pipeline", "--n", 4, "--delta", 1e308, "--iters", 5,
+                   "--out", out) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.count("overflows the regularizer weights") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", [1e-320, 1e-100, 1e80])
+def test_premises_of_extreme_delta_are_evaluated_exactly(delta, tmp_path):
+    # in floating point delta**4 underflows to 0 (1e-100) or overflows
+    # (1e80); at a subnormal delta the audit's per-copy bound overflows to inf
+    out = tmp_path / "r.json"
+    assert run("pipeline", "--n", 4, "--delta", delta, "--iters", 5, "--no-timings",
+               "--out", out) == 0
+    premises = json.loads(out.read_text())["instance"]["premises"]
+    assert premises["n_ge_2^24_m^6_k^2_over_delta^4"] is (delta > 1)
+
+
+def test_edited_stored_bounds_are_a_validation_error(workspace, tmp_path, capsys):
+    *_, inst_path, point, _instance = workspace
+    blob = json.loads(inst_path.read_text())
+    blob["bounds"]["G"] *= 2.0
+    bad = tmp_path / "bad_inst.json"
+    bad.write_text(json.dumps(blob))
+    assert run("eval", "--instance", bad, "--point", point) == cli.EXIT_VALIDATION
+    assert "stored bounds differ" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("h", [0, -0.5, "inf", "nan"])
 def test_bad_grid_spacing_is_a_validation_error(workspace, capsys, h):
     *_, inst, _point, _instance = workspace
@@ -326,6 +381,14 @@ def test_bad_fd_step_is_a_validation_error(workspace, capsys, fd_step):
     assert "finite-difference step must be finite and positive" in capsys.readouterr().err
 
 
+def test_subnormal_fd_step_is_a_validation_error(workspace, capsys):
+    # eps * |f| / h overflows, so the tolerance could not fail any error
+    *_, inst, _point, _instance = workspace
+    assert run("grad-check", "--instance", inst, "--points", 1,
+               "--fd-step", 5e-324) == cli.EXIT_VALIDATION
+    assert "rounding error overflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("points", [0, -3])
 def test_grad_check_without_points_is_a_validation_error(workspace, capsys, points):
     # no point would pass vacuously and never look at --fd-step
@@ -333,6 +396,49 @@ def test_grad_check_without_points_is_a_validation_error(workspace, capsys, poin
     assert run("grad-check", "--instance", inst, f"--points={points}",
                "--fd-step", 0) == cli.EXIT_VALIDATION
     assert f"needs at least one point, got {points}" in capsys.readouterr().err
+
+
+@pytest.fixture
+def purify_tree_64(tmp_path):
+    """A d = 1,024 purify_tree instance where a 1e-8 absolute floor failed."""
+    pc, vi, inst = tmp_path / "pc.json", tmp_path / "vi.json", tmp_path / "inst.json"
+    assert run("gen-pc", "--kind", "purify_tree", "--size", 64, "--seed", 922899329,
+               "--out", pc) == 0
+    assert run("gen-vi", "--m", 2, "--seed", 1821646917, "--out", vi) == 0
+    assert run("build", "--pc", pc, "--vi", vi, "--n", 8, "--epsilon", 1e-3,
+               "--delta", 0.5, "--out", inst) == 0
+    return inst
+
+
+GRAD_CHECK_SEED = 3953475944  # f = 63: eps * |f| / h = 1.4e-8 at h = 1e-6
+
+
+def test_grad_check_floor_covers_finite_difference_rounding(purify_tree_64, tmp_path):
+    out = tmp_path / "gc.json"
+    assert run("grad-check", "--instance", purify_tree_64, "--points", 1,
+               "--seed", GRAD_CHECK_SEED, "--out", out) == 0
+    assert json.loads(out.read_text())["max_fd_tolerance_ratio"] < 1.0
+
+
+def test_grad_check_floor_still_catches_a_small_gradient_error(purify_tree_64, tmp_path,
+                                                                monkeypatch):
+    # both analytic routes off by 1e-6 on the smallest-|g| coordinate: only
+    # the finite differences can see it
+    def off(route):
+        def shifted(*args, **kwargs):
+            g = np.concatenate(route(*args, **kwargs))
+            g[np.argmin(np.abs(g))] += 1e-6
+            return np.split(g, 2)
+        return shifted
+
+    monkeypatch.setattr(cli, "eval_grad", off(cli.eval_grad))
+    monkeypatch.setattr(cli, "eval_grad_direct", off(cli.eval_grad_direct))
+    out = tmp_path / "gc.json"
+    assert run("grad-check", "--instance", purify_tree_64, "--points", 1,
+               "--seed", GRAD_CHECK_SEED, "--out", out) == cli.EXIT_GRAD_MISMATCH
+    result = json.loads(out.read_text())
+    assert result["max_dual_relative_error"] <= 1e-12
+    assert result["max_fd_tolerance_ratio"] > 1.0
 
 
 @pytest.mark.parametrize("route", ["finite_diff_grad", "eval_grad_direct"])
