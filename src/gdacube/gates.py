@@ -25,6 +25,8 @@ callers that want the slope alone.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -39,7 +41,8 @@ __all__ = [
 
 def _as_finite(z) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
-    if not np.isfinite(arr).all():
+    # count_nonzero is the exact test of .all() without its Python wrapper
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("gate argument must be finite")
     return arr
 
@@ -65,11 +68,11 @@ def _switch(z, lo: float, hi: float, below: float, above: float, ramp, slope_ram
     inside = arr > lo
     inside &= arr < hi
     if slope_ramp is None:
-        if inside.any():
+        if np.count_nonzero(inside):
             out[inside] = ramp(arr[inside])
         return out
     slope = np.zeros(out.shape)
-    if inside.any():
+    if np.count_nonzero(inside):
         ramped = arr[inside]
         out[inside] = ramp(ramped)
         slope[inside] = slope_ramp(ramped)
@@ -129,7 +132,9 @@ def _check_m(m: int) -> int:
     return int(m)
 
 
+@functools.lru_cache(maxsize=16)
 def _threshold_ramps(m: int):
+    """The ramp and its slope for width parameter m, built once per m."""
     def ramp(zz):
         t = zz - 3.0 * m
         return -2.0 * t**3 + 3.0 * t**2

@@ -18,11 +18,16 @@ and the link value is H_q = sum_i <D x_i^q + c, y_i^q - x_i^q>.
 (:class:`GateTables`). The objective, the gradient and ``diagnostics``
 share one forward path: ``_batch_parts`` computes distances and links
 for a (B, d) batch, and the levels and gate terms are then evaluated
-over whole (B, #gates) tables with three gate calls in all: the distance
-threshold, NOR, and PURIFY on its +1/4 and -1/4 arguments at once. The
-gradient takes value and slope from each call, the objective the value.
-Sums run in gate order, so results equal those of a gate-by-gate loop
-bit for bit.
+over whole tables with three gate calls in all: the distance threshold,
+NOR, and PURIFY on its +1/4 and -1/4 arguments at once. The gradient
+takes value and slope from each call, the objective the value.
+
+Every per-vertex and per-gate table of that path is vertex-major, a
+(rows, B) array with one row per vertex or gate term, so each lookup in
+the plan is one ``take(idx, axis=0)`` row gather and each block of gate
+terms a contiguous run of rows. Only the (B, d) coordinate arrays stay
+batch-major. Sums run in gate order, so results equal those of a
+gate-by-gate loop bit for bit.
 
 Gradients are available through two independent routes: ``eval_grad``
 aggregates per-vertex gate values and noise terms first, while
@@ -197,30 +202,33 @@ _BOUNDS_NOTE = (
 class GateTables:
     """The circuit compiled to a gather plan, once per instance.
 
+    Every index below selects rows of a vertex-major (rows, B) table.
+
     Gate arguments: ``nor_uv`` lists the NOR inputs u, then v, so the
-    NOR arguments are ``lam[:, nor_uv]`` with its two halves added;
-    ``purify_uu`` lists the PURIFY inputs twice, and adding
-    ``purify_shift`` (+1/4 for the first copy, -1/4 for the second)
-    gives the arguments of the plus and the minus outputs in one table.
+    NOR arguments are ``lam.take(nor_uv, axis=0)`` with its two halves
+    added; ``purify_uu`` lists the PURIFY inputs twice, and adding
+    ``purify_shift`` (+1/4 for the first copy, -1/4 for the second) to
+    the rows gives the arguments of the plus and the minus outputs in
+    one table.
 
     ``links`` gathers the link value of each gate term: NOR output w, then
     PURIFY output v, then PURIFY output w.
 
-    ``producer[q]`` is the column of vertex q's gate value in the
-    (B, #nor + 2 #purify + 1) table [NOR | PURIFY plus | PURIFY minus | 0].
+    ``producer[q]`` is the row of vertex q's gate value in the
+    (#nor + 2 #purify + 1, B) table [NOR | PURIFY plus | PURIFY minus | 0].
     A vertex with several producers keeps the last one in gate order (NOR
     gates, then PURIFY gates with the plus output before the minus
-    output); one with none reads the trailing 0 column.
+    output); one with none reads the trailing 0 row.
 
-    The noise contributions form a (B, 2 #nor + #purify + 1) table: NOR
-    feedback to u, then to v, then PURIFY feedback to u, then a 0 column.
+    The noise contributions form a (2 #nor + #purify + 1, B) table: NOR
+    feedback to u, then to v, then PURIFY feedback to u, then a 0 row.
     Pass k adds each vertex's k-th contribution in gate order, so adding
     the passes to a +0.0 accumulator sums every vertex's terms in the
     order of a gate-by-gate loop. ``noise_first`` gives every vertex one
-    column (the 0 column for a vertex with no contribution); each later
-    pass is a (vertices, columns) pair that lists only the vertices with
-    a k-th contribution, so the plan holds one entry per noise term plus
-    kappa, however many gates one vertex feeds.
+    row (the 0 row for a vertex with no contribution); each later pass
+    is a (vertices, rows) pair that lists only the vertices with a k-th
+    contribution, so the plan holds one entry per noise term plus kappa,
+    however many gates one vertex feeds.
     """
 
     nor_uv: np.ndarray
@@ -254,7 +262,7 @@ def _compile_gates(pc: PureCircuitInstance) -> GateTables:
     purify = np.array(pc.purify_gates, dtype=np.intp).reshape(-1, 3).T
     n_nor, n_purify = nor.shape[1], purify.shape[1]
 
-    n_values = n_nor + 2 * n_purify  # the 0 column of the value table
+    n_values = n_nor + 2 * n_purify  # the 0 row of the value table
     producer = np.full(pc.kappa, n_values, dtype=np.intp)
     for col, (_u, _v, w) in enumerate(pc.nor_gates):
         producer[w] = col
@@ -262,8 +270,8 @@ def _compile_gates(pc: PureCircuitInstance) -> GateTables:
         producer[v] = n_nor + col
         producer[w] = n_nor + n_purify + col
 
-    n_terms = 2 * n_nor + n_purify  # the 0 column of the noise table
-    contributions = []  # (target vertex, column) in gate-loop order
+    n_terms = 2 * n_nor + n_purify  # the 0 row of the noise table
+    contributions = []  # (target vertex, row) in gate-loop order
     for col, (u, v, _w) in enumerate(pc.nor_gates):
         contributions += [(u, col), (v, n_nor + col)]
     for col, (u, _v, _w) in enumerate(pc.purify_gates):
@@ -455,59 +463,76 @@ def _check_point(inst: GdaInstance, p: JointPoint):
         raise ValueError(f"point has dimension {p.x.shape[0]}, instance needs {inst.d}")
 
 
+def _blocks_times(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``A @ M`` for a (B, kappa, n, m) stack of copy blocks, as one 2-D product.
+
+    One matrix product over all B * kappa * n rows replaces B * kappa
+    tiny stacked ones and gives the same bits, except for one-row blocks
+    (n = 1) with m >= 2, which numpy multiplies as vector-matrix products
+    rounded another way; those keep the stacked product.
+    """
+    n, m = A.shape[-2:]
+    if n == 1 and m > 1:
+        return A @ M
+    return (A.reshape(-1, m) @ M).reshape(A.shape)
+
+
 def _batch_parts(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
-    """Differences, squared distances, D x + c and link values for a (B, d) batch."""
+    """Differences and D x + c, batch-major, for a (B, d) batch; squared
+    distances and link values as vertex-major (kappa, B) tables."""
     B = X.shape[0]
     shape = (B, inst.kappa, inst.n, inst.m)
     Xr, Yr = X.reshape(shape), Y.reshape(shape)
     diff = Xr - Yr
-    dist_sq = np.einsum("bqnm,bqnm->bq", diff, diff)
-    dx_c = Xr @ inst.vi.D.T + inst.vi.c
-    H = np.einsum("bqnm,bqnm->bq", dx_c, -diff)
+    dist_sq = np.einsum("bqnm,bqnm->qb", diff, diff)
+    dx_c = _blocks_times(Xr, inst.vi.D.T)
+    dx_c += inst.vi.c
+    H = np.einsum("bqnm,bqnm->qb", dx_c, -diff)
     return diff, dist_sq, dx_c, H
 
 
 def _gate_args(tables: GateTables, lam):
-    """Arguments of the NOR gates and of the PURIFY [plus | minus] outputs, batched."""
-    uv = lam[:, tables.nor_uv]
+    """Arguments of the NOR gates and of the PURIFY [plus | minus] outputs, as row tables."""
+    uv = lam.take(tables.nor_uv, axis=0)
     n_nor = tables.n_nor
-    return uv[:, :n_nor] + uv[:, n_nor:], lam[:, tables.purify_uu] + tables.purify_shift
+    return uv[:n_nor] + uv[n_nor:], lam.take(tables.purify_uu, axis=0) + tables.purify_shift[:, None]
 
 
 def _node_aggregates(inst: GdaInstance, lam, lam_p, H):
-    """Gate values s_q and noise feedback for every vertex, batched.
+    """Gate values s_q and noise feedback for every vertex, as (kappa, B) tables.
 
-    One value-and-slope call per gate kind. Each table is dropped as soon
-    as the next is formed, so that a (65536, d) batch needs no larger
-    temporaries than the gradient assembly that follows. Products are
-    taken left to right as in the per-gate formulas.
+    Takes the vertex-major (kappa, B) levels, level slopes and links. One
+    value-and-slope call per gate kind, on (gates, B) row tables. Each
+    table is dropped as soon as the next is formed, so that a (65536, d)
+    batch needs no larger temporaries than the gradient assembly that
+    follows. Products are taken left to right as in the per-gate formulas.
     """
     tables = inst.gates
     n_nor, n_purify = tables.n_nor, tables.n_purify
-    B = lam.shape[0]
+    B = lam.shape[1]
     nor_args, purify_args = _gate_args(tables, lam)
     nor_val, nor_slope = nor_gate(nor_args, slope=True)
     purify_val, purify_slope = purify_gate(purify_args, slope=True)
     del nor_args, purify_args
-    zero = np.zeros((B, 1))
-    s = np.concatenate((nor_val, purify_val, zero), axis=1)[:, tables.producer]
+    zero = np.zeros((1, B))
+    s = np.concatenate((nor_val, purify_val, zero)).take(tables.producer, axis=0)
     del nor_val, purify_val
 
-    links = H[:, tables.links]
-    to_nor = lam_p[:, tables.nor_uv].reshape(B, 2, n_nor)  # to u, then to v
-    to_nor *= nor_slope[:, None, :]
-    to_nor *= links[:, None, :n_nor]
-    purify_slope *= links[:, n_nor:]
-    to_pu = purify_slope[:, :n_purify] + purify_slope[:, n_purify:]
-    to_pu *= lam_p[:, tables.purify_uu[:n_purify]]
+    links = H.take(tables.links, axis=0)
+    to_nor = lam_p.take(tables.nor_uv, axis=0).reshape(2, n_nor, B)  # to u, then to v
+    to_nor *= nor_slope
+    to_nor *= links[:n_nor]
+    purify_slope *= links[n_nor:]
+    to_pu = purify_slope[:n_purify] + purify_slope[n_purify:]
+    to_pu *= lam_p.take(tables.purify_uu[:n_purify], axis=0)
     del links, nor_slope, purify_slope
-    terms = np.concatenate((to_nor.reshape(B, 2 * n_nor), to_pu, zero), axis=1)
+    terms = np.concatenate((to_nor.reshape(2 * n_nor, B), to_pu, zero))
     del to_nor, to_pu
 
-    noise = np.zeros((B, inst.kappa))
-    noise += terms[:, tables.noise_first]
-    for vertices, columns in tables.noise_passes:
-        noise[:, vertices] += terms[:, columns]
+    noise = terms.take(tables.noise_first, axis=0)
+    noise += 0.0  # the +0.0 accumulator: a lone -0.0 term reads +0.0
+    for vertices, rows in tables.noise_passes:
+        noise[vertices] += terms.take(rows, axis=0)
     return s, noise
 
 
@@ -520,16 +545,16 @@ def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     n_nor, n_purify = tables.n_nor, tables.n_purify
     nor_args, purify_args = _gate_args(tables, lam)
     nor_val, purify_val = nor_gate(nor_args), purify_gate(purify_args)
-    links = H[:, tables.links]
-    # One column per gate term in gate order, after a leading 0.0: the
-    # running sum along a row then adds the terms exactly as a loop would.
-    terms = np.zeros((X.shape[0], 1 + n_nor + 2 * n_purify))
-    np.multiply(nor_val, links[:, :n_nor], out=terms[:, 1:1 + n_nor])
-    np.multiply(purify_val[:, :n_purify], links[:, n_nor:n_nor + n_purify],
-                out=terms[:, 1 + n_nor::2])
-    np.multiply(purify_val[:, n_purify:], links[:, n_nor + n_purify:],
-                out=terms[:, 2 + n_nor::2])
-    total = np.add.accumulate(terms, axis=1)[:, -1]
+    links = H.take(tables.links, axis=0)
+    # One row per gate term in gate order, after a leading 0.0: the
+    # running sum down a column then adds the terms exactly as a loop would.
+    terms = np.zeros((1 + n_nor + 2 * n_purify, X.shape[0]))
+    np.multiply(nor_val, links[:n_nor], out=terms[1:1 + n_nor])
+    np.multiply(purify_val[:n_purify], links[n_nor:n_nor + n_purify],
+                out=terms[1 + n_nor::2])
+    np.multiply(purify_val[n_purify:], links[n_nor + n_purify:],
+                out=terms[2 + n_nor::2])
+    total = np.add.accumulate(terms, axis=0)[-1]
     total += np.einsum("n,bqn->b", inst.M, (diff**2).sum(axis=3))
     return total
 
@@ -537,16 +562,20 @@ def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _grad_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
     diff, dist_sq, dx_c, H = _batch_parts(inst, X, Y)
     lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
-    del dist_sq  # freeing each (B, kappa) table early lowers a grid chunk's peak memory
+    del dist_sq  # freeing each (kappa, B) table early lowers a grid chunk's peak memory
     s, noise = _node_aggregates(inst, lam, lam_p, H)
     del lam, lam_p, H
-    dt_yx = -diff @ inst.vi.D
-    coef = 2.0 * (inst.M[None, None, :, None] + noise[:, :, None, None])
-    s4 = s[:, :, None, None]
+    dt_yx = _blocks_times(-diff, inst.vi.D)
+    # the 2 (M_i + noise_q) (x - y) term of both players
+    reg = 2.0 * (inst.M[None, None, :, None] + noise.T[:, :, None, None]) * diff
+    s4 = s.T[:, :, None, None]
     B = X.shape[0]
-    GX = (s4 * (dt_yx - dx_c) + coef * diff).reshape(B, inst.d)
-    GY = (s4 * dx_c - coef * diff).reshape(B, inst.d)
-    return GX, GY
+    dt_yx -= dx_c
+    GX = np.multiply(s4, dt_yx, out=dt_yx)
+    GX += reg
+    GY = s4 * dx_c
+    GY -= reg
+    return GX.reshape(B, inst.d), GY.reshape(B, inst.d)
 
 
 def eval_f(inst: GdaInstance, p: JointPoint) -> float:
@@ -650,6 +679,6 @@ def diagnostics(inst: GdaInstance, p: JointPoint) -> NodeDiagnostics:
     diff, dist_sq, _, H = _batch_parts(inst, p.x[None, :], p.y[None, :])
     lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
     s, noise = _node_aggregates(inst, lam, lam_p, H)
-    return NodeDiagnostics(gate_value=s[0], noise=noise[0], link=H[0],
-                           dist_sq=dist_sq[0], dist_l1=np.abs(diff[0]).sum(axis=(1, 2)),
-                           bit=lam[0])
+    return NodeDiagnostics(gate_value=s[:, 0], noise=noise[:, 0], link=H[:, 0],
+                           dist_sq=dist_sq[:, 0], dist_l1=np.abs(diff[0]).sum(axis=(1, 2)),
+                           bit=lam[:, 0])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduction import CapExceededError, GdaInstance, JointPoint, _grad_many
+from .reduction import CapExceededError, GdaInstance, JointPoint, _check_point, _grad_many
 
 __all__ = [
     "StationarityReport",
@@ -61,6 +61,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step!r}")
+        for name in ("max_iters", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be positive")
 
@@ -87,26 +91,51 @@ class SolverResult:
         }
 
 
-def _violation_arrays(x, y, gx, gy):
-    vx = np.maximum(np.maximum(gx * (1.0 - x), -gx * x), 0.0)
-    vy = np.maximum(np.maximum(-gy * (1.0 - y), gy * y), 0.0)
-    return vx, vy
+def _field(inst: GdaInstance, Z: np.ndarray) -> np.ndarray:
+    """The joint field [gx | -gy] at the rows of the joint iterate Z = [x | y].
+
+    Both players move along it: x ascends gx and y descends gy. The
+    negation is exact, sign of zero included, so a step or a violation
+    read off the field has the bits of the per-player formulas.
+    """
+    GX, GY = _grad_many(inst, Z[:, :inst.d], Z[:, inst.d:])
+    return np.concatenate((GX, np.negative(GY)), axis=1)
+
+
+def _violations(z, f):
+    """Per-coordinate endpoint violations of the joint point z under the field f.
+
+    The inner maximization over a move to 0 or 1 is affine, so a
+    coordinate's violation is max(f (1 - z), -f z, 0): for x this is
+    gx (1 - x) and -gx x, for y it is -gy (1 - y) and gy y.
+    """
+    v = 1.0 - z
+    v *= f
+    gain = np.negative(f)
+    gain *= z
+    np.maximum(v, gain, out=v)
+    return np.maximum(v, 0.0, out=v)
 
 
 def check_stationary(inst: GdaInstance, p: JointPoint, eps: float) -> StationarityReport:
     """Per-coordinate endpoint violations for both players against eps."""
-    GX, GY = _grad_many(inst, p.x[None, :], p.y[None, :])
-    vx, vy = _violation_arrays(p.x, p.y, GX[0], GY[0])
-    worst = float(max(vx.max(), vy.max()))
-    return StationarityReport(violations_x=vx, violations_y=vy,
+    _check_point(inst, p)
+    z = np.concatenate((p.x, p.y))
+    v = _violations(z, _field(inst, z[None, :])[0])
+    worst = float(v.max())
+    return StationarityReport(violations_x=v[:inst.d], violations_y=v[inst.d:],
                               max_violation=worst, epsilon=float(eps),
                               passed=bool(worst <= eps))
 
 
-def _row_violations(X, Y, GX, GY) -> np.ndarray:
-    """Worst endpoint violation of each row, ``max(vx.max(), vy.max())`` per row."""
-    vx, vy = _violation_arrays(X, Y, GX, GY)
-    return np.maximum(vx, vy, out=vx).max(axis=1)
+def _row_violations(Z, F) -> np.ndarray:
+    """Worst endpoint violation of each row of the joint iterate Z."""
+    v = _violations(Z, F)
+    if v.shape[0] > v.shape[1]:
+        # numpy reduces many short rows ~3x slower than the columns of the
+        # transpose; max is exact, so both give the same bits
+        return np.ascontiguousarray(v.T).max(axis=0)
+    return v.max(axis=1)
 
 
 # Restarts run as the rows of one batch, in groups of at most this many
@@ -123,65 +152,69 @@ class _Group:
     to the iteration cap without reaching the target.
     """
 
-    def __init__(self, X, Y, max_iters: int, stride: int):
-        rows = X.shape[0]
+    def __init__(self, Z, max_iters: int, stride: int):
+        rows = Z.shape[0]
         self.steps = np.full(rows, max_iters)
         self.best_v = np.full(rows, np.inf)
-        self.best_x, self.best_y = X.copy(), Y.copy()
+        self.best_z = Z.copy()
         self.marks = np.full((rows, len(range(0, max_iters, stride))), np.nan)
         self.stop: int | None = None
         self.failed = False
 
 
-def _run_group(inst, X, Y, cfg: SolverConfig, eta: float, extrapolate: bool,
+def _run_group(inst, Z, cfg: SolverConfig, eta: float, extrapolate: bool,
                stride: int) -> _Group:
-    out = _Group(X, Y, cfg.max_iters, stride)
-    live = np.arange(X.shape[0])  # rows still running, in restart order
+    """Advance the joint iterates Z = [x | y], one row per restart."""
+    out = _Group(Z, cfg.max_iters, stride)
+    live = np.arange(Z.shape[0])  # rows still running, in restart order
 
-    def consider(GX, GY):
-        v = _row_violations(X, Y, GX, GY)
+    def consider(F):
+        v = _row_violations(Z, F)
         better = v < out.best_v[live]
         out.best_v[live[better]] = v[better]
-        out.best_x[live[better]] = X[better]
-        out.best_y[live[better]] = Y[better]
+        out.best_z[live[better]] = Z[better]
 
     def stop_at(hit, it, failed):
         # the first flagged row ends here and every later row is dropped
-        nonlocal live, X, Y
+        nonlocal live, Z
         r = int(live[np.argmax(hit)])
         out.steps[r], out.stop, out.failed = it, r, failed
         keep = live < r
-        live, X, Y = live[keep], X[keep], Y[keep]
+        live, Z = live[keep], Z[keep]
         return keep
+
+    def step(Z, F):
+        # the projection of Z + eta F onto the box, with np.clip's bits
+        W = eta * F
+        W += Z
+        np.minimum(W, 1.0, out=W)
+        return np.maximum(0.0, W, out=W)
 
     for it in range(cfg.max_iters):
         if live.size == 0:
             break
-        GX, GY = _grad_many(inst, X, Y)
-        consider(GX, GY)
+        F = _field(inst, Z)
+        consider(F)
         if it % stride == 0:
             out.marks[live, it // stride] = out.best_v[live]
         hit = out.best_v[live] <= cfg.target
-        if hit.any():
+        if np.count_nonzero(hit):
             keep = stop_at(hit, it, failed=False)
             if not live.size:
                 break
-            GX, GY = GX[keep], GY[keep]
+            F = F[keep]
         if extrapolate:
-            XH = np.clip(X + eta * GX, 0.0, 1.0)
-            YH = np.clip(Y - eta * GY, 0.0, 1.0)
-            GX, GY = _grad_many(inst, XH, YH)
-        X = np.clip(X + eta * GX, 0.0, 1.0)
-        Y = np.clip(Y - eta * GY, 0.0, 1.0)
-        bad = ~(np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1))
-        if bad.any():
-            stop_at(bad, it, failed=True)
+            F = _field(inst, step(Z, F))
+        Z = step(Z, F)
+        finite = np.isfinite(Z)
+        if np.count_nonzero(finite) != finite.size:
+            stop_at(~finite.all(axis=1), it, failed=True)
     else:
         if live.size:
             # iteration cap: score the final iterates too
-            consider(*_grad_many(inst, X, Y))
+            consider(_field(inst, Z))
             hit = out.best_v[live] <= cfg.target
-            if hit.any():
+            if np.count_nonzero(hit):
                 out.stop = int(live[np.argmax(hit)])
                 out.failed = False
     return out
@@ -199,27 +232,30 @@ def _drive(inst: GdaInstance, p0: JointPoint, cfg: SolverConfig, extrapolate: bo
     rows after the first to reach the target are dropped, and the trace is
     rebuilt in restart order.
     """
+    _check_point(inst, p0)
     eta = cfg.step if cfg.step is not None else 1.0 / inst.bounds.L
     seeds = np.random.SeedSequence(cfg.seed)
-    best_x, best_y = p0.x.copy(), p0.y.copy()
+    d = inst.d
+    z0 = np.concatenate((p0.x, p0.y))
+    best_z = z0
     best_v = np.inf
     trace: list[tuple[int, float]] = []
     stride = max(1, cfg.max_iters // 10)
     total = 0
-    group = max(1, RESTART_GROUP_ELEMS // inst.d)
+    group = max(1, RESTART_GROUP_ELEMS // d)
 
     for first in range(0, cfg.restarts, group):
         rows = range(first, min(first + group, cfg.restarts))
-        X, Y = np.empty((len(rows), inst.d)), np.empty((len(rows), inst.d))
+        Z = np.empty((len(rows), 2 * d))
         # successive spawns continue the child count: these are children
         # first, first + 1, ... of the seed, as in one spawn(cfg.restarts)
         for i, (r, child) in enumerate(zip(rows, seeds.spawn(len(rows)))):
             if r == 0:
-                X[i], Y[i] = p0.x, p0.y
+                Z[i] = z0
             else:
                 rng = np.random.default_rng(child)
-                X[i], Y[i] = rng.uniform(0, 1, inst.d), rng.uniform(0, 1, inst.d)
-        g = _run_group(inst, X, Y, cfg, eta, extrapolate, stride)
+                Z[i, :d], Z[i, d:] = rng.uniform(0, 1, d), rng.uniform(0, 1, d)
+        g = _run_group(inst, Z, cfg, eta, extrapolate, stride)
         if g.failed:
             raise FloatingPointError("non-finite iterate; reduce the step size")
         for i in range(len(rows) if g.stop is None else g.stop + 1):
@@ -230,11 +266,11 @@ def _drive(inst: GdaInstance, p0: JointPoint, cfg: SolverConfig, extrapolate: bo
             total += steps
             if g.best_v[i] < best_v:
                 best_v = float(g.best_v[i])
-                best_x, best_y = g.best_x[i].copy(), g.best_y[i].copy()
+                best_z = g.best_z[i].copy()
         if g.stop is not None:
             break
     trace.append((total, best_v))
-    point = JointPoint(best_x, best_y)
+    point = JointPoint(best_z[:d], best_z[d:])
     report = check_stationary(inst, point, cfg.target)
     method = "extragradient" if extrapolate else "gda"
     return SolverResult(point=point, report=report, trace=tuple(trace),
@@ -278,11 +314,10 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None) -> Solver
         idx = np.arange(start, min(start + 65536, npts), dtype=np.int64)
         digits = (idx[:, None] // divisors[None, :]) % (k + 1)
         P = vals[digits]
-        X, Y = P[:, : inst.d], P[:, inst.d:]
-        # GX, GY stay bound until the next chunk's gradient replaces them;
-        # freeing them after each chunk made the sweep ~10% slower
-        GX, GY = _grad_many(inst, X, Y)
-        v = _row_violations(X, Y, GX, GY)
+        # F stays bound until the next chunk's field replaces it; freeing
+        # the gradient after each chunk made the sweep ~10% slower
+        F = _field(inst, P)
+        v = _row_violations(P, F)
         b = int(np.argmin(v))
         if v[b] < best_v:
             best_v, best_idx = float(v[b]), int(idx[b])

@@ -144,7 +144,7 @@ def test_criterion_3_structural_identities():
         diff, dist_sq, _, H = _batch_parts(inst, X, Y)
         lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
         s, _ = _node_aggregates(inst, lam, lam_p, H)
-        want = (s[:, :, None, None] * (-diff @ inst.vi.D)).reshape(334, inst.d)
+        want = (s.T[:, :, None, None] * (-diff @ inst.vi.D)).reshape(334, inst.d)
         err = np.abs(GX + GY - want).max() / max(1.0, np.abs(GX).max())
         checks.append((err <= 1e-12, f"{name}: sum identity error {err}"))
 

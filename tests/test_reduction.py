@@ -407,7 +407,11 @@ def test_diagnostics_purify_saturation():
 # ------------------------------------------- gate tables vs the per-gate loop
 
 def loop_node_aggregates(inst, dist_sq, lam, H):
-    """Reference: gate values and noise, one gate at a time in gate order."""
+    """Reference: gate values and noise, one gate at a time in gate order.
+
+    Takes and returns batch-major (B, kappa) tables; the tables under test
+    are vertex-major (kappa, B), so callers transpose between the two.
+    """
     B = lam.shape[0]
     s = np.zeros((B, inst.kappa))
     noise = np.zeros((B, inst.kappa))
@@ -430,6 +434,7 @@ def loop_node_aggregates(inst, dist_sq, lam, H):
 def loop_f_many(inst, X, Y):
     """Reference objective: gate terms added one gate at a time."""
     diff, dist_sq, _, H = _batch_parts(inst, X, Y)
+    dist_sq, H = dist_sq.T, H.T
     lam = distance_threshold(dist_sq, inst.m)
     total = np.zeros(X.shape[0])
     for u, v, w in inst.pc.nor_gates:
@@ -455,6 +460,11 @@ def loop_diagnostics(inst, p):
 
 def bit_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def vertex_major(table):
+    """A batch-major (B, kappa) table in the forward path's (kappa, B) layout."""
+    return np.ascontiguousarray(table.T)
 
 
 # Vertex 0 receives five noise terms (five scatter passes), vertices 1
@@ -503,15 +513,17 @@ def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
         synthetic = (3 * m + rng.uniform(-0.2, 1.2, (B, pc.kappa)),
                      rng.uniform(0.0, 0.9, (B, pc.kappa)), rng.normal(size=(B, pc.kappa)))
         dist_sq, lam, H = synthetic
-        got = _node_aggregates(inst, lam, distance_threshold_prime(dist_sq, m), H)
+        got = _node_aggregates(inst, *map(vertex_major, (
+            lam, distance_threshold_prime(dist_sq, m), H)))
         want = loop_node_aggregates(inst, *synthetic)
-        assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+        assert bit_equal(got[0].T, want[0]) and bit_equal(got[1].T, want[1])
         X, Y = batch_near_ramps(inst, rng, B)
         _, dist_sq, _, H = _batch_parts(inst, X, Y)
+        assert dist_sq.shape == H.shape == (pc.kappa, B)
         lam, lam_p = distance_threshold(dist_sq, m, slope=True)
         got = _node_aggregates(inst, lam, lam_p, H)
-        want = loop_node_aggregates(inst, dist_sq, lam, H)
-        assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+        want = loop_node_aggregates(inst, dist_sq.T, lam.T, H.T)
+        assert bit_equal(got[0].T, want[0]) and bit_equal(got[1].T, want[1])
         assert bit_equal(_f_many(inst, X, Y), loop_f_many(inst, X, Y))
         for b in range(B):
             p = JointPoint(X[b], Y[b])
@@ -558,9 +570,51 @@ def test_gate_tables_stay_linear_in_the_noise_terms_around_a_hub():
     lam, H = rng.uniform(0.0, 0.9, (2, kappa)), rng.normal(size=(2, kappa))
     # hub levels and distances inside the ramps, so every hub term is nonzero
     lam[:, :2], dist_sq[:, :2] = 0.2, 3.5
-    got = _node_aggregates(inst, lam, distance_threshold_prime(dist_sq, 1), H)
+    got = _node_aggregates(inst, *map(vertex_major, (
+        lam, distance_threshold_prime(dist_sq, 1), H)))
     want = loop_node_aggregates(inst, dist_sq, lam, H)
-    assert bit_equal(got[0], want[0]) and bit_equal(got[1], want[1])
+    assert bit_equal(got[0].T, want[0]) and bit_equal(got[1].T, want[1])
+
+
+@st.composite
+def valid_circuits(draw):
+    """Circuits that pass validation: each vertex is the output of exactly one
+    gate, and each gate's three vertices are distinct."""
+    kappa = draw(st.integers(3, 8))
+    outputs = draw(st.permutations(range(kappa)))
+    n_purify = draw(st.integers(0, kappa // 2))
+
+    def inputs(outs, k):
+        others = [v for v in range(kappa) if v not in outs]
+        return draw(st.lists(st.sampled_from(others), min_size=k, max_size=k, unique=True))
+
+    purify = [(*inputs(outputs[2 * g:2 * g + 2], 1), outputs[2 * g], outputs[2 * g + 1])
+              for g in range(n_purify)]
+    nor = [(*inputs([w], 2), w) for w in outputs[2 * n_purify:]]
+    return PureCircuitInstance(kappa, tuple(nor), tuple(purify))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pc=valid_circuits(), m=st.integers(1, 3), n=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_three_gradient_routes_agree_on_valid_circuits(pc, m, n, seed):
+    # grad-check's tolerances: the two analytic routes within 1e-12 of the
+    # largest component, and each within max(1e-5 |g|, floor) of the central
+    # difference, the floor being that difference's rounding error
+    inst = build_instance(pc, gen_random(m, seed % 97), GdaParams(n=n, epsilon=1e-3, delta=0.5))
+    rng = np.random.default_rng(seed)
+    h = 1e-6
+    X, Y = batch_near_ramps(inst, rng, 2)  # one random point, one near the ramps
+    for x, y in zip(X, Y):
+        p = JointPoint(x, y)
+        ga = np.concatenate(eval_grad(inst, p))
+        gb = np.concatenate(eval_grad_direct(inst, p))
+        fd = np.concatenate(finite_diff_grad(inst, p, h=h))
+        scale = max(np.abs(ga).max(), np.abs(gb).max(), 1.0)
+        assert np.abs(ga - gb).max() / scale <= 1e-12
+        floor = 8.0 * np.finfo(float).eps * max(abs(eval_f(inst, p)), 1.0) / h
+        for g in (ga, gb):
+            assert (np.abs(g - fd) <= np.maximum(1e-5 * np.abs(g), floor)).all()
 
 
 def test_gate_tables_refuse_vertices_outside_the_circuit():

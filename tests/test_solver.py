@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_instance, random_point
-from gdacube.lin_vi import LinVIInstance
+from gdacube.lin_vi import LinVIInstance, gen_random
 from gdacube.pure_circuit import PureCircuitInstance, gen_example
 from gdacube.reduction import (
     CapExceededError,
@@ -22,6 +22,13 @@ from gdacube.solver import (
     grid_search,
     projected_gda,
 )
+
+
+def _violation_arrays(x, y, gx, gy):
+    """Reference per-player violations: the formula the joint field must reproduce."""
+    vx = np.maximum(np.maximum(gx * (1.0 - x), -gx * x), 0.0)
+    vy = np.maximum(np.maximum(-gy * (1.0 - y), gy * y), 0.0)
+    return vx, vy
 
 
 def regularizer_only_instance(n=1, delta=0.5):
@@ -153,7 +160,7 @@ def test_grid_search_returns_a_solver_result():
     P = np.array(np.meshgrid(*[np.linspace(0.0, 1.0, k)] * (2 * inst.d),
                              indexing="ij")).reshape(2 * inst.d, -1).T
     X, Y = P[:, :inst.d], P[:, inst.d:]
-    vx, vy = solver._violation_arrays(X, Y, *solver._grad_many(inst, X, Y))
+    vx, vy = _violation_arrays(X, Y, *solver._grad_many(inst, X, Y))
     v = np.maximum(vx.max(axis=1), vy.max(axis=1))
     b = int(np.argmin(v))
     assert res.trace[0][1] == v[b]
@@ -195,6 +202,51 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
+    # a float ran range() into a TypeError and True ran one iteration
+    for bad in (2.5, True, "3"):
+        for field in ("max_iters", "restarts"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SolverConfig(**{field: bad})
+    assert SolverConfig(max_iters=np.int64(5), restarts=np.int32(2)).max_iters == 5
+
+
+@pytest.mark.parametrize("entry", ["check_stationary", "projected_gda", "extragradient"])
+def test_solvers_refuse_a_point_of_the_wrong_dimension(entry):
+    # x and y share one [x | y] iterate sliced at d, so a short point would
+    # otherwise run on the wrong coordinates or fail deep inside a reshape
+    inst = make_instance("ring3-m2-n4")
+    p = JointPoint(np.full(inst.d - 1, 0.5), np.full(inst.d - 1, 0.5))
+    calls = {
+        "check_stationary": lambda: check_stationary(inst, p, eps=0.1),
+        "projected_gda": lambda: projected_gda(inst, p, SolverConfig(step=0.05, max_iters=3)),
+        "extragradient": lambda: extragradient(inst, p, SolverConfig(step=0.05, max_iters=3)),
+    }
+    with pytest.raises(ValueError, match=f"point has dimension {inst.d - 1}, instance needs {inst.d}"):
+        calls[entry]()
+
+
+def test_violations_keep_the_sign_of_zero_at_grid_stationary_points():
+    # the joint field negates gy, which turns a +0.0 into -0.0; at exact
+    # grid-stationary points of ring-4 (h = 1/4, n = m = 1) every violation
+    # is a zero, and each must keep the per-player formula's sign
+    stationary = 0
+    for seed in range(6):
+        inst = build_instance(gen_example("ring", 4, 0), gen_random(1, seed),
+                              GdaParams(n=1, epsilon=1e-3, delta=0.5))
+        res = grid_search(inst, 0.25)
+        if res.report.max_violation != 0.0:
+            continue
+        stationary += 1
+        p = res.point
+        gx, gy = eval_grad(inst, p)
+        vx, vy = _violation_arrays(p.x, p.y, gx, gy)
+        rep = check_stationary(inst, p, eps=0.0)
+        field = solver._field(inst, np.concatenate((p.x, p.y))[None, :])[0]
+        for got, want in ((rep.violations_x, vx), (rep.violations_y, vy),
+                          (rep.max_violation, max(vx.max(), vy.max())),
+                          (field, np.concatenate((gx, -gy)))):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert stationary >= 2
 
 
 # ------------------------------------------------- batched restarts vs reference
@@ -216,7 +268,7 @@ def _sequential_drive(inst, p0, cfg, extrapolate):
 
     def consider(x, y, gx, gy):
         nonlocal best_v, best_x, best_y
-        vx, vy = solver._violation_arrays(x, y, gx, gy)
+        vx, vy = _violation_arrays(x, y, gx, gy)
         v = float(max(vx.max(), vy.max()))
         if v < best_v:
             best_v = v
