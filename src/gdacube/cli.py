@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 parse error, 3 validation failure, 4 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -292,6 +293,7 @@ def cmd_pipeline(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gdacube", epilog=_EPILOG,
                                   description=__doc__.splitlines()[0])

@@ -138,23 +138,41 @@ def test_restarts_explore_and_keep_best():
     assert many.report.max_violation <= one.report.max_violation
 
 
-def test_grid_search_regularizer_toy():
+def _tiled_grid_search(monkeypatch, inst, h, block):
+    """grid_search under a tile budget of ``block`` elements (None keeps the
+    default), with the row count of each tile it evaluated."""
+    rows = []
+    field = solver._field
+
+    def counted(inst, Z):
+        rows.append(len(Z))
+        return field(inst, Z)
+
+    with monkeypatch.context() as mp:
+        if block is not None:
+            mp.setattr(solver, "GRID_BLOCK_ELEMS", block)
+        mp.setattr(solver, "_field", counted)
+        res = grid_search(inst, h)
+    return res, rows[:-1]  # the last field call is the final report's
+
+
+def test_grid_search_regularizer_toy(monkeypatch):
     inst = regularizer_only_instance(delta=0.5)  # M_1 = 0.25
-    res = grid_search(inst, h=0.25)
-    p, rep = res.point, res.report
-    # aligned objectives meet on the diagonal where the gradient vanishes
-    assert rep.max_violation <= 2 * 0.25 * 0.25
-    assert np.array_equal(p.x, p.y)
-    # ties resolve to the lexicographically smallest point
-    assert np.array_equal(p.x, [0.0])
+    # 5^2 grid points: one tile, or five tiles of 5 at the t = 1 floor
+    for block, tiles in ((None, 1), (1, 5)):
+        res, rows = _tiled_grid_search(monkeypatch, inst, 0.25, block)
+        assert rows == [25 // tiles] * tiles
+        p, rep = res.point, res.report
+        # aligned objectives meet on the diagonal where the gradient vanishes
+        assert rep.max_violation <= 2 * 0.25 * 0.25
+        assert np.array_equal(p.x, p.y)
+        # ties resolve to the lexicographically smallest point, also when
+        # the tied diagonal points lie in different tiles
+        assert np.array_equal(p.x, [0.0])
 
 
-def test_grid_search_returns_a_solver_result():
+def test_grid_search_returns_a_solver_result(monkeypatch):
     inst = make_instance("ring3-m1-n1")
-    res = grid_search(inst, h=0.5)
-    assert (res.method, res.iterations, res.seed) == ("grid", 0, None)
-    assert res.trace == ((0, res.report.max_violation),)
-    assert res.report.passed  # eps defaults to the best violation found
     # the sweep's reduction gives the same bits as max(vx.max(), vy.max())
     k = 3
     P = np.array(np.meshgrid(*[np.linspace(0.0, 1.0, k)] * (2 * inst.d),
@@ -163,8 +181,58 @@ def test_grid_search_returns_a_solver_result():
     vx, vy = _violation_arrays(X, Y, *solver._grad_many(inst, X, Y))
     v = np.maximum(vx.max(axis=1), vy.max(axis=1))
     b = int(np.argmin(v))
-    assert res.trace[0][1] == v[b]
-    assert np.array_equal(res.point.x, X[b]) and np.array_equal(res.point.y, Y[b])
+    # 3^6 grid points in tiles of 3^t rows, 3^t * 6 <= block, t >= 1
+    for block, tiles in ((None, 1), (6 * 27, 27), (6 * 27 - 1, 81), (1, 243)):
+        res, rows = _tiled_grid_search(monkeypatch, inst, 0.5, block)
+        assert rows == [729 // tiles] * tiles
+        assert (res.method, res.iterations, res.seed) == ("grid", 0, None)
+        assert res.trace == ((0, res.report.max_violation),)
+        assert res.report.passed  # eps defaults to the best violation found
+        assert res.trace[0][1] == v[b]
+        assert np.array_equal(res.point.x, X[b]) and np.array_equal(res.point.y, Y[b])
+
+
+def _chunked_grid_violations(inst, h):
+    """Every grid point's worst violation, decoded from its flat index in
+    65,536-row chunks: the reference the tiled sweep must reproduce."""
+    k = round(1.0 / h)
+    vals = np.linspace(0.0, 1.0, k + 1)
+    width = 2 * inst.d
+    npts = (k + 1) ** width
+    divisors = (k + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    out = []
+    for start in range(0, npts, 65536):
+        idx = np.arange(start, min(start + 65536, npts), dtype=np.int64)
+        P = vals[(idx[:, None] // divisors[None, :]) % (k + 1)]
+        out.append(solver._row_violations(P, solver._field(inst, P)))
+    v = np.concatenate(out)
+    b = int(np.argmin(v))
+    return v, vals[(b // divisors) % (k + 1)]
+
+
+def test_grid_tiles_match_the_chunked_sweep(monkeypatch):
+    # the grid_certify shape: ring-4, n = m = 1, h = 1/4, 5^8 points in 125
+    # tiles of 5^5; every row's violation, the best point and the best
+    # violation keep the bits of the flat-index enumeration
+    row_violations = solver._row_violations
+    for seed in range(6):
+        inst = build_instance(gen_example("ring", 4, 0), gen_random(1, seed),
+                              GdaParams(n=1, epsilon=1e-3, delta=0.5))
+        want, point = _chunked_grid_violations(inst, 0.25)
+        seen = []
+
+        def recorded(Z, F):
+            seen.append(row_violations(Z, F))
+            return seen[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_row_violations", recorded)
+            res = grid_search(inst, 0.25)
+        assert len(seen) == 125 and all(len(v) == 3125 for v in seen)
+        got = np.concatenate(seen)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert res.trace[0][1] == want.min()
+        assert np.array_equal(np.concatenate((res.point.x, res.point.y)), point)
 
 
 def test_grid_search_monotone_under_refinement():
@@ -203,10 +271,14 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
     # a float ran range() into a TypeError and True ran one iteration
+    # a float seed raised a TypeError from SeedSequence and True ran,
+    # reporting "seed": true
     for bad in (2.5, True, "3"):
-        for field in ("max_iters", "restarts"):
+        for field in ("max_iters", "restarts", "seed"):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 SolverConfig(**{field: bad})
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SolverConfig(seed=-1)
     assert SolverConfig(max_iters=np.int64(5), restarts=np.int32(2)).max_iters == 5
 
 
