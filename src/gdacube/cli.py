@@ -85,13 +85,6 @@ def _load_as(cls, path: str):
         raise _ParseFailure(f"{path}: malformed {cls.__name__}: {e}") from e
 
 
-def _load_point(path: str, inst: GdaInstance) -> JointPoint:
-    p = _load_as(JointPoint, path)
-    if p.x.shape != (inst.d,):
-        raise ValidationError([f"point has dimension {p.x.size}, instance needs {inst.d}"])
-    return p
-
-
 def _params_from_args(args, pc: PureCircuitInstance, vi: LinVIInstance) -> GdaParams:
     if args.paper:
         return paper_params(vi.m, pc.kappa, Fraction(args.rho if args.rho else vi.rho))
@@ -130,7 +123,7 @@ def cmd_build(args) -> int:
 
 def cmd_eval(args) -> int:
     inst = _load_as(GdaInstance, args.instance)
-    p = _load_point(args.point, inst)
+    p = _load_as(JointPoint, args.point)
     value = eval_f(inst, p)
     print(f"f = {value!r}")
     if args.out:
@@ -211,7 +204,7 @@ def cmd_solve(args) -> int:
 
 def cmd_decode(args) -> int:
     inst = _load_as(GdaInstance, args.instance)
-    p = _load_point(args.point, inst)
+    p = _load_as(JointPoint, args.point)
     out = decode(inst, p, rho=args.rho)
     _dump(out.to_json_dict(), args.out)
     print(f"decode outcome: {out.kind}")
@@ -232,7 +225,7 @@ def _verdict(audit) -> tuple[dict, int]:
 
 def cmd_audit(args) -> int:
     inst = _load_as(GdaInstance, args.instance)
-    p = _load_point(args.point, inst)
+    p = _load_as(JointPoint, args.point)
     _check_eps(args.eps)
     audit = lemma_audit(inst, p, args.eps, rho=args.rho)
     block, code = _verdict(audit)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .lin_vi import SlackReport, check_solution, resolve_rho
 from .pure_circuit import Assignment, GateViolation, Trit, verify_assignment
-from .reduction import GdaInstance, JointPoint, diagnostics
+from .reduction import GdaInstance, JointPoint, _check_point, diagnostics
 from .solver import check_stationary
 
 __all__ = [
@@ -122,6 +122,7 @@ def find_linvi_witness(inst: GdaInstance, p: JointPoint, rho: float | None = Non
     (-1, -1, -inf) when there are none. Only the witness gets a full
     ``check_solution``.
     """
+    _check_point(inst, p)
     rho = resolve_rho(inst.vi, rho)
     worst, first = _scan(inst, p, rho)
     before = worst[:first]

@@ -99,21 +99,25 @@ class GdaParams:
     """Copies per vertex, stationarity tolerance, and regularizer grid spacing.
 
     ``paper`` mode keeps all three as exact rationals (they are far too
-    large/small to materialize); ``custom`` mode holds desk-scale values.
+    large/small to materialize, so ``build_instance`` refuses them);
+    ``custom`` mode holds desk-scale real numbers, never bools or strings.
     """
 
     n: Number
     epsilon: Number
     delta: Number
     mode: str = "custom"
-    materializable: bool = True
 
     def __post_init__(self):
         if self.mode not in ("paper", "custom"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "custom":
+            for k in ("n", "epsilon", "delta"):
+                x = getattr(self, k)
+                if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                    raise ValueError(f"{k} must be a real number, got {x!r}")
             n = self.n
-            if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n)):
+            if not (math.isfinite(n) and n == int(n)):
                 raise ValueError(f"n must be an integer, got {n!r}")
             object.__setattr__(self, "n", int(n))
             object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -128,24 +132,24 @@ class GdaParams:
             num = {k: str(getattr(self, k)) for k in ("n", "epsilon", "delta")}
         else:
             num = {k: getattr(self, k) for k in ("n", "epsilon", "delta")}
-        return {**num, "mode": self.mode, "materializable": self.materializable}
+        return {**num, "mode": self.mode}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GdaParams":
+        """Reads the dict written by ``to_json_dict``; other keys are ignored."""
         if d["mode"] == "paper":
             nums = {k: Fraction(d[k]) for k in ("n", "epsilon", "delta")}
         else:
             nums = {k: d[k] for k in ("n", "epsilon", "delta")}
-        return cls(mode=d["mode"], materializable=bool(d.get("materializable", True)), **nums)
+        return cls(mode=d["mode"], **nums)
 
 
 def paper_params(m: int, kappa: int, rho: Number) -> GdaParams:
     """Exact-rational parameters for the hardness-scale construction.
 
     n = 2^64 m^14 kappa^2 / rho^8, epsilon = rho^18 / (2^140 m^28 kappa^4),
-    delta = rho^2 / (2^10 m^2). These are astronomically large by design;
-    the returned record is flagged non-materializable whenever the full
-    dimension kappa*n*m would exceed ``DIM_CAP``.
+    delta = rho^2 / (2^10 m^2). These are astronomically large by design,
+    so ``build_instance`` refuses every paper-mode record.
     """
     if m < 1 or kappa < 1:
         raise ValueError("need m >= 1 and kappa >= 1")
@@ -155,10 +159,7 @@ def paper_params(m: int, kappa: int, rho: Number) -> GdaParams:
     n = Fraction(2**64 * m**14 * kappa**2) / rho**8
     epsilon = rho**18 / Fraction(2**140 * m**28 * kappa**4)
     delta = rho**2 / Fraction(2**10 * m**2)
-    return GdaParams(
-        n=n, epsilon=epsilon, delta=delta, mode="paper",
-        materializable=bool(kappa * n * m <= DIM_CAP),
-    )
+    return GdaParams(n=n, epsilon=epsilon, delta=delta, mode="paper")
 
 
 def parameter_premises(n, epsilon, delta, m, kappa, rho) -> dict[str, bool]:
@@ -202,50 +203,39 @@ _BOUNDS_NOTE = (
 class GateTables:
     """The circuit compiled to a gather plan, once per instance.
 
-    Every index below selects rows of a vertex-major (rows, B) table.
+    Every index below selects rows of a vertex-major (rows, B) table, and
+    both gate-term tables run in gate-loop order.
 
-    Gate arguments: ``nor_uv`` lists the NOR inputs u, then v, so the
-    NOR arguments are ``lam.take(nor_uv, axis=0)`` with its two halves
-    added; ``purify_uu`` lists the PURIFY inputs twice, and adding
-    ``purify_shift`` (+1/4 for the first copy, -1/4 for the second) to
-    the rows gives the arguments of the plus and the minus outputs in
-    one table.
+    Gate values: one row per NOR gate, then two per PURIFY gate, its plus
+    output before its minus output. ``links`` lists the output vertex of
+    each value row, so it both gathers the link value of each gate term
+    and scatters the gate values into the per-vertex table ``s``; a vertex
+    is the output of at most one gate, and one with none reads 0. The
+    arguments come from ``nor_uv``, each NOR gate's inputs u and v, whose
+    rows are added in pairs, and from ``purify_uu``, each PURIFY input
+    twice, plus ``purify_shift`` (+1/4, then -1/4).
 
-    ``links`` gathers the link value of each gate term: NOR output w, then
-    PURIFY output v, then PURIFY output w.
-
-    ``producer[q]`` is the row of vertex q's gate value in the
-    (#nor + 2 #purify + 1, B) table [NOR | PURIFY plus | PURIFY minus | 0].
-    A vertex with several producers keeps the last one in gate order (NOR
-    gates, then PURIFY gates with the plus output before the minus
-    output); one with none reads the trailing 0 row.
-
-    The noise contributions form a (2 #nor + #purify + 1, B) table: NOR
-    feedback to u, then to v, then PURIFY feedback to u, then a 0 row.
-    Pass k adds each vertex's k-th contribution in gate order, so adding
-    the passes to a +0.0 accumulator sums every vertex's terms in the
-    order of a gate-by-gate loop. ``noise_first`` gives every vertex one
-    row (the 0 row for a vertex with no contribution); each later pass
-    is a (vertices, rows) pair that lists only the vertices with a k-th
-    contribution, so the plan holds one entry per noise term plus kappa,
-    however many gates one vertex feeds.
+    Noise contributions: one row per NOR gate to u and to v, then one per
+    PURIFY gate to u, then a 0 row. Pass k adds each vertex's k-th
+    contribution in gate order, so adding the passes to a +0.0
+    accumulator sums every vertex's terms in the order of a gate-by-gate
+    loop. ``noise_first`` gives every vertex one row (the 0 row for a
+    vertex with no contribution); each later pass is a (vertices, rows)
+    pair that lists only the vertices with a k-th contribution, so the
+    plan holds one entry per noise term plus kappa, however many gates one
+    vertex feeds.
     """
 
     nor_uv: np.ndarray
     purify_uu: np.ndarray
     purify_shift: np.ndarray
     links: np.ndarray
-    producer: np.ndarray
     noise_first: np.ndarray
     noise_passes: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def n_nor(self) -> int:
         return self.nor_uv.size // 2
-
-    @property
-    def n_purify(self) -> int:
-        return self.purify_uu.size // 2
 
 
 def _index_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -254,46 +244,39 @@ def _index_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compile_gates(pc: PureCircuitInstance) -> GateTables:
-    """The gather plan for three-gate-call evaluation of ``pc``."""
+    """The gather plan for three-gate-call evaluation of ``pc``.
+
+    Refuses a gate vertex outside the circuit and a vertex that is the
+    output of more than one gate, whether or not the circuit was validated.
+    """
     for node in (x for g in pc.nor_gates + pc.purify_gates for x in g):
         if not 0 <= node < pc.kappa:
             raise ValidationError([f"gate vertex {node} outside [0, {pc.kappa})"])
-    nor = np.array(pc.nor_gates, dtype=np.intp).reshape(-1, 3).T
-    purify = np.array(pc.purify_gates, dtype=np.intp).reshape(-1, 3).T
-    n_nor, n_purify = nor.shape[1], purify.shape[1]
+    nor = np.array(pc.nor_gates, dtype=np.intp).reshape(-1, 3)
+    purify = np.array(pc.purify_gates, dtype=np.intp).reshape(-1, 3)
+    links = np.concatenate((nor[:, 2], purify[:, 1:].ravel()))
+    producers = np.bincount(links, minlength=pc.kappa)
+    if (producers > 1).any():
+        raise ValidationError([f"vertex {q} is the output of {producers[q]} gates (at most 1)"
+                               for q in np.flatnonzero(producers > 1)])
 
-    n_values = n_nor + 2 * n_purify  # the 0 row of the value table
-    producer = np.full(pc.kappa, n_values, dtype=np.intp)
-    for col, (_u, _v, w) in enumerate(pc.nor_gates):
-        producer[w] = col
-    for col, (_u, v, w) in enumerate(pc.purify_gates):
-        producer[v] = n_nor + col
-        producer[w] = n_nor + n_purify + col
-
-    n_terms = 2 * n_nor + n_purify  # the 0 row of the noise table
-    contributions = []  # (target vertex, row) in gate-loop order
-    for col, (u, v, _w) in enumerate(pc.nor_gates):
-        contributions += [(u, col), (v, n_nor + col)]
-    for col, (u, _v, _w) in enumerate(pc.purify_gates):
-        contributions.append((u, 2 * n_nor + col))
+    nor_uv = nor[:, :2].ravel()
+    targets = np.concatenate((nor_uv, purify[:, 0]))  # vertex of each noise term
     passes: list[list[tuple[int, int]]] = []
     seen: Counter[int] = Counter()
-    for target, col in contributions:
+    for row, target in enumerate(targets.tolist()):
         if seen[target] == len(passes):
             passes.append([])
-        passes[seen[target]].append((target, col))
+        passes[seen[target]].append((target, row))
         seen[target] += 1
-    first = np.full(pc.kappa, n_terms, dtype=np.intp)
+    first = np.full(pc.kappa, targets.size, dtype=np.intp)  # the 0 row
     if passes:
-        vertices, columns = _index_pairs(passes[0])
-        first[vertices] = columns
+        vertices, rows = _index_pairs(passes[0])
+        first[vertices] = rows
     return GateTables(
-        nor_uv=np.concatenate((nor[0], nor[1])),
-        purify_uu=np.concatenate((purify[0], purify[0])),
-        purify_shift=np.repeat([0.25, -0.25], n_purify),
-        links=np.concatenate((nor[2], purify[1], purify[2])),
-        producer=producer, noise_first=first,
-        noise_passes=tuple(_index_pairs(p) for p in passes[1:]))
+        nor_uv=nor_uv, purify_uu=np.repeat(purify[:, 0], 2),
+        purify_shift=np.tile([0.25, -0.25], len(purify)), links=links,
+        noise_first=first, noise_passes=tuple(_index_pairs(p) for p in passes[1:]))
 
 
 @dataclass
@@ -382,19 +365,25 @@ def _conservative_bounds(pc: PureCircuitInstance, kappa: int, n: int, m: int,
 
 def build_instance(pc: PureCircuitInstance, vi: LinVIInstance, params: GdaParams,
                    validate: bool = True) -> GdaInstance:
-    """Materialize the compiled instance; refuses dimensions beyond ``DIM_CAP``.
+    """Materialize the compiled instance.
 
-    ``validate=False`` admits structurally incomplete circuits (vertices
-    without a producing gate get a gate value of 0); unit tests use this
-    for single-gate landscapes.
+    Refuses paper-mode parameters and dimensions beyond ``DIM_CAP``
+    (``CapExceededError``). ``validate=False`` skips the circuit checks of
+    ``validate_instance`` but not those of the gate plan: it admits
+    vertices without a producing gate (their gate value is 0) and gates
+    whose vertices repeat, while a gate vertex outside the circuit or a
+    vertex that is the output of two gates still raises
+    ``ValidationError``. Unit tests use it for single-gate landscapes.
     """
     if validate:
         problems = validate_instance(pc)
         if problems:
             raise ValidationError(problems)
     kappa, m = pc.kappa, vi.m
-    d_exact = kappa * params.n * m
-    if not params.materializable or d_exact > DIM_CAP:
+    if params.mode == "paper":
+        raise CapExceededError(f"paper-mode parameters are never materialized: "
+                               f"kappa*n*m = {kappa}*{params.n}*{m}")
+    if kappa * params.n * m > DIM_CAP:
         raise CapExceededError(
             f"instance dimension kappa*n*m = {kappa}*{params.n}*{m} exceeds cap {DIM_CAP}"
         )
@@ -492,10 +481,9 @@ def _batch_parts(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
 
 
 def _gate_args(tables: GateTables, lam):
-    """Arguments of the NOR gates and of the PURIFY [plus | minus] outputs, as row tables."""
+    """Arguments of the NOR gates and of the PURIFY (plus, minus) outputs, as row tables."""
     uv = lam.take(tables.nor_uv, axis=0)
-    n_nor = tables.n_nor
-    return uv[:n_nor] + uv[n_nor:], lam.take(tables.purify_uu, axis=0) + tables.purify_shift[:, None]
+    return uv[0::2] + uv[1::2], lam.take(tables.purify_uu, axis=0) + tables.purify_shift[:, None]
 
 
 def _node_aggregates(inst: GdaInstance, lam, lam_p, H):
@@ -508,25 +496,25 @@ def _node_aggregates(inst: GdaInstance, lam, lam_p, H):
     follows. Products are taken left to right as in the per-gate formulas.
     """
     tables = inst.gates
-    n_nor, n_purify = tables.n_nor, tables.n_purify
+    n_nor = tables.n_nor
     B = lam.shape[1]
     nor_args, purify_args = _gate_args(tables, lam)
     nor_val, nor_slope = nor_gate(nor_args, slope=True)
     purify_val, purify_slope = purify_gate(purify_args, slope=True)
     del nor_args, purify_args
-    zero = np.zeros((1, B))
-    s = np.concatenate((nor_val, purify_val, zero)).take(tables.producer, axis=0)
+    s = np.zeros((inst.kappa, B))
+    s[tables.links] = np.concatenate((nor_val, purify_val))
     del nor_val, purify_val
 
     links = H.take(tables.links, axis=0)
-    to_nor = lam_p.take(tables.nor_uv, axis=0).reshape(2, n_nor, B)  # to u, then to v
-    to_nor *= nor_slope
-    to_nor *= links[:n_nor]
+    to_nor = lam_p.take(tables.nor_uv, axis=0).reshape(n_nor, 2, B)  # each gate to u, then to v
+    to_nor *= nor_slope[:, None]
+    to_nor *= links[:n_nor, None]
     purify_slope *= links[n_nor:]
-    to_pu = purify_slope[:n_purify] + purify_slope[n_purify:]
-    to_pu *= lam_p.take(tables.purify_uu[:n_purify], axis=0)
+    to_pu = purify_slope[0::2] + purify_slope[1::2]
+    to_pu *= lam_p.take(tables.purify_uu[0::2], axis=0)
     del links, nor_slope, purify_slope
-    terms = np.concatenate((to_nor.reshape(2 * n_nor, B), to_pu, zero))
+    terms = np.concatenate((to_nor.reshape(2 * n_nor, B), to_pu, np.zeros((1, B))))
     del to_nor, to_pu
 
     noise = terms.take(tables.noise_first, axis=0)
@@ -542,18 +530,14 @@ def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     lam = distance_threshold(dist_sq, inst.m)
     del dist_sq
     tables = inst.gates
-    n_nor, n_purify = tables.n_nor, tables.n_purify
     nor_args, purify_args = _gate_args(tables, lam)
-    nor_val, purify_val = nor_gate(nor_args), purify_gate(purify_args)
-    links = H.take(tables.links, axis=0)
     # One row per gate term in gate order, after a leading 0.0: the
     # running sum down a column then adds the terms exactly as a loop would.
-    terms = np.zeros((1 + n_nor + 2 * n_purify, X.shape[0]))
-    np.multiply(nor_val, links[:n_nor], out=terms[1:1 + n_nor])
-    np.multiply(purify_val[:n_purify], links[n_nor:n_nor + n_purify],
-                out=terms[1 + n_nor::2])
-    np.multiply(purify_val[n_purify:], links[n_nor + n_purify:],
-                out=terms[2 + n_nor::2])
+    # Allocated before the gate values, not after them: the other order
+    # raised the peak RSS of a finite_diff_grad at d = 1024 by ~4 MB.
+    terms = np.zeros((1 + tables.links.size, X.shape[0]))
+    np.multiply(np.concatenate((nor_gate(nor_args), purify_gate(purify_args))),
+                H.take(tables.links, axis=0), out=terms[1:])
     total = np.add.accumulate(terms, axis=0)[-1]
     total += np.einsum("n,bqn->b", inst.M, (diff**2).sum(axis=3))
     return total

@@ -268,6 +268,55 @@ def test_non_integer_copy_count_is_a_validation_error(workspace, tmp_path):
     assert run("eval", "--instance", bad, "--point", point) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", True), ("n", "2"), ("epsilon", "0.001"), ("epsilon", True), ("delta", None),
+])
+def test_non_number_params_are_a_validation_error(workspace, tmp_path, capsys, field, value):
+    *_, inst_path, point, _instance = workspace
+    blob = json.loads(inst_path.read_text())
+    blob["params"][field] = value
+    bad = tmp_path / "bad_inst.json"
+    bad.write_text(json.dumps(blob))
+    assert run("eval", "--instance", bad, "--point", point) == cli.EXIT_VALIDATION
+    assert f"{field} must be a real number" in capsys.readouterr().err
+
+
+def test_paper_mode_artifact_is_refused_with_cap_exit(workspace, tmp_path, capsys):
+    *_, inst_path, point, _instance = workspace
+    blob = json.loads(inst_path.read_text())
+    # tiny exact numbers: n = 9/2 would once build with n truncated to 4
+    blob["params"] = {"n": "9/2", "epsilon": "1/1000", "delta": "1/2", "mode": "paper"}
+    blob["d"] = 12
+    bad = tmp_path / "paper_inst.json"
+    bad.write_text(json.dumps(blob))
+    assert run("eval", "--instance", bad, "--point", point) == cli.EXIT_CAP
+    assert "paper-mode parameters are never materialized" in capsys.readouterr().err
+
+
+def test_stored_materializable_key_is_ignored(workspace, tmp_path):
+    *_, inst_path, point, _instance = workspace
+    blob = json.loads(inst_path.read_text())
+    assert "materializable" not in blob["params"]
+    blob["params"]["materializable"] = False  # written by older versions
+    old = tmp_path / "old_inst.json"
+    old.write_text(json.dumps(blob))
+    assert run("eval", "--instance", old, "--point", point) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("eval", []), ("decode", []), ("audit", ["--eps", 1.0]),
+])
+def test_point_of_the_wrong_length_is_a_validation_error(workspace, tmp_path, capsys,
+                                                         command, flags):
+    *_, inst, _point, instance = workspace
+    short = tmp_path / "short.json"
+    half = np.zeros(instance.d // 2)
+    short.write_text(json.dumps(JointPoint(half, half).to_json_dict()))
+    assert run(command, "--instance", inst, "--point", short, *flags) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"point has dimension {half.size}, instance needs {instance.d}" in err
+
+
 # the workspace instance has d = kappa*n*m = 3*2*1 = 6
 @pytest.mark.parametrize("d, code", [(7, cli.EXIT_VALIDATION), (6.5, cli.EXIT_PARSE),
                                      ("6", cli.EXIT_PARSE)])

@@ -116,6 +116,14 @@ def test_decode_deterministic():
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(b.to_json_dict(), sort_keys=True)
 
 
+def test_decode_refuses_a_point_of_the_wrong_length():
+    inst = make_instance("ring3-m2-n4")  # d = 3*4*2 = 24
+    half = np.zeros(inst.d // 2)
+    for call in (decode, find_linvi_witness):
+        with pytest.raises(ValueError, match=f"point has dimension 12, instance needs {inst.d}"):
+            call(inst, JointPoint(half, half))
+
+
 # --------------------------------------------- gate case analyses, NOR side
 
 def nor_case_instance():

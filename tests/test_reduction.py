@@ -51,7 +51,8 @@ def test_paper_params_pinned_unit_case():
     assert p.n == Fraction(2**64)
     assert p.delta == Fraction(1, 2**10)
     assert p.epsilon == Fraction(1, 2**140)
-    assert p.mode == "paper" and not p.materializable
+    assert p.mode == "paper"
+    assert set(p.to_json_dict()) == {"n", "epsilon", "delta", "mode"}
 
 
 def test_paper_params_pinned_delta_case():
@@ -93,6 +94,11 @@ def test_custom_params_validation():
         with pytest.raises(ValueError):
             GdaParams(n=n, epsilon=1e-3, delta=0.5)
     assert GdaParams(n=4.0, epsilon=1e-3, delta=0.5).n == 4
+    for bad in (True, False, "0.001", None, [1]):
+        for field in ("n", "epsilon", "delta"):
+            kwargs = {"n": 2, "epsilon": 1e-3, "delta": 0.5, field: bad}
+            with pytest.raises(ValueError, match=f"{field} must be a real number"):
+                GdaParams(**kwargs)
     for eps, delta in ((float("inf"), 0.5), (1e-3, float("inf")), (float("inf"),) * 2):
         with pytest.raises(ValueError, match="finite"):
             GdaParams(n=2, epsilon=eps, delta=delta)
@@ -114,6 +120,11 @@ def test_build_pinned_grid_n4():
 def test_build_refuses_paper_scale():
     with pytest.raises(CapExceededError):
         build_instance(RING3, gen_random(2, 0), paper_params(2, 3, Fraction(1, 2)))
+    # paper mode is refused outright, however small its numbers
+    tiny = GdaParams(n=Fraction(9, 2), epsilon=Fraction(1, 1000), delta=Fraction(1, 2),
+                     mode="paper")
+    with pytest.raises(CapExceededError, match="paper-mode"):
+        build_instance(RING3, gen_random(1, 0), tiny)
     with pytest.raises(CapExceededError):
         build_instance(RING3, gen_random(1, 0), GdaParams(n=10**8, epsilon=1e-3, delta=0.5))
 
@@ -467,21 +478,27 @@ def vertex_major(table):
     return np.ascontiguousarray(table.T)
 
 
-# Vertex 0 receives five noise terms (five scatter passes), vertices 1
-# and 3 are each written by NOR and PURIFY gates several times over, and
-# vertices 0, 2 and 4 have no producer.
+# Vertex 0 receives five noise terms (five scatter passes), two of them
+# from one gate, and feeds back into the gate that produces it.
 TANGLED = PureCircuitInstance(
-    5, nor_gates=((0, 0, 1), (0, 1, 1), (0, 2, 3)),
-    purify_gates=((0, 1, 3), (2, 3, 1)))
+    5, nor_gates=((0, 0, 1), (0, 1, 0), (0, 2, 3)),
+    purify_gates=((0, 2, 4),))
 
 
 @st.composite
 def loose_circuits(draw):
-    """Circuits built with validate=False: any wiring inside [0, kappa)."""
-    kappa = draw(st.integers(1, 8))
-    gate = st.tuples(*[st.integers(0, kappa - 1)] * 3)
-    return PureCircuitInstance(kappa, tuple(draw(st.lists(gate, max_size=10))),
-                               tuple(draw(st.lists(gate, max_size=6))))
+    """Circuits built with validate=False: each vertex is the output of at
+    most one gate, and any vertex, the gate's own output included, may be
+    an input."""
+    kappa = draw(st.integers(1, 10))
+    outputs = draw(st.permutations(range(kappa)))
+    n_purify = draw(st.integers(0, kappa // 2))
+    n_nor = draw(st.integers(0, kappa - 2 * n_purify))
+    vertex = st.integers(0, kappa - 1)
+    purify = [(draw(vertex), outputs[2 * g], outputs[2 * g + 1]) for g in range(n_purify)]
+    nor = [(draw(vertex), draw(vertex), w)
+           for w in outputs[2 * n_purify:2 * n_purify + n_nor]]
+    return PureCircuitInstance(kappa, tuple(nor), tuple(purify))
 
 
 def batch_near_ramps(inst, rng, B):
@@ -533,23 +550,32 @@ def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
             assert all(bit_equal(g, w) for g, w in zip(got, want))
 
 
-def test_gate_tables_resolve_repeated_producers_at_compile_time():
+def test_gate_tables_run_in_gate_loop_order():
     tables = build_instance(TANGLED, gen_random(1, 0), GdaParams(n=1, epsilon=1e-3, delta=0.5),
                             validate=False).gates
-    # value table [NOR 0-2 | PURIFY plus 3-4 | PURIFY minus 5-6 | 0 column 7]
-    # last producer in gate order: NOR gates, then each PURIFY gate's plus
-    # output before its minus output, so vertex 1 reads PURIFY 1 minus and
-    # vertex 3 PURIFY 1 plus; vertices 0, 2 and 4 have no producer
-    assert tables.producer.tolist() == [7, 6, 7, 4, 7]
-    # noise table [NOR to u 0-2 | NOR to v 3-5 | PURIFY to u 6-7 | 0 column 8];
-    # vertex 0 takes five terms, vertex 2 two, vertex 1 one
-    assert tables.noise_first.tolist() == [0, 4, 5, 8, 8]
+    # value rows [NOR 0-2 | PURIFY 0 plus 3, minus 4]; links holds each
+    # row's output vertex
+    assert tables.nor_uv.tolist() == [0, 0, 0, 1, 0, 2]
+    assert tables.purify_uu.tolist() == [0, 0]
+    assert tables.purify_shift.tolist() == [0.25, -0.25]
+    assert tables.links.tolist() == [1, 0, 3, 2, 4]
+    # noise rows [NOR 0 to u 0, to v 1 | NOR 1 2, 3 | NOR 2 4, 5 | PURIFY 0
+    # to u 6 | 0 row 7]; vertex 0 takes five terms, vertices 1 and 2 one each
+    assert tables.noise_first.tolist() == [0, 3, 5, 7, 7]
     assert [(v.tolist(), c.tolist()) for v, c in tables.noise_passes] == [
-        ([0, 2], [3, 7]), ([0], [1]), ([0], [2]), ([0], [6])]
-    assert tables.nor_uv.tolist() == [0, 0, 0, 0, 1, 2]
-    assert tables.purify_uu.tolist() == [0, 2, 0, 2]
-    assert tables.purify_shift.tolist() == [0.25, 0.25, -0.25, -0.25]
-    assert tables.links.tolist() == [1, 1, 3, 1, 3, 3, 1]
+        ([0], [1]), ([0], [2]), ([0], [4]), ([0], [6])]
+
+
+@pytest.mark.parametrize("nor, purify", [
+    (((0, 1, 2),), ((0, 1, 2),)),   # vertex 2: NOR output and PURIFY minus
+    (((0, 1, 2), (1, 0, 2)), ()),   # vertex 2: two NOR outputs
+    ((), ((0, 1, 1),)),             # vertex 1: both PURIFY outputs
+])
+def test_gate_tables_refuse_a_second_producer_without_validation(nor, purify):
+    pc = PureCircuitInstance(3, nor_gates=nor, purify_gates=purify)
+    with pytest.raises(ValidationError, match="output of 2 gates"):
+        build_instance(pc, gen_random(1, 0), GdaParams(n=2, epsilon=1e-3, delta=0.5),
+                       validate=False)
 
 
 def test_gate_tables_stay_linear_in_the_noise_terms_around_a_hub():
@@ -561,7 +587,7 @@ def test_gate_tables_stay_linear_in_the_noise_terms_around_a_hub():
                              + tuple((0, 1, v) for v in range(2, kappa)))
     inst = build_instance(pc, gen_random(1, 0), GdaParams(n=1, epsilon=1e-3, delta=0.5))
     tables = inst.gates
-    n_terms = 2 * tables.n_nor + tables.n_purify
+    n_terms = 2 * tables.n_nor + tables.purify_uu.size // 2
     assert len(tables.noise_passes) == kappa - 3
     plan = tables.noise_first.size + sum(v.size + c.size for v, c in tables.noise_passes)
     assert plan <= kappa + 2 * n_terms
@@ -594,14 +620,10 @@ def valid_circuits(draw):
     return PureCircuitInstance(kappa, tuple(nor), tuple(purify))
 
 
-@settings(max_examples=40, deadline=None)
-@given(pc=valid_circuits(), m=st.integers(1, 3), n=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1))
-def test_three_gradient_routes_agree_on_valid_circuits(pc, m, n, seed):
+def assert_three_gradient_routes_agree(inst, seed):
     # grad-check's tolerances: the two analytic routes within 1e-12 of the
     # largest component, and each within max(1e-5 |g|, floor) of the central
     # difference, the floor being that difference's rounding error
-    inst = build_instance(pc, gen_random(m, seed % 97), GdaParams(n=n, epsilon=1e-3, delta=0.5))
     rng = np.random.default_rng(seed)
     h = 1e-6
     X, Y = batch_near_ramps(inst, rng, 2)  # one random point, one near the ramps
@@ -615,6 +637,24 @@ def test_three_gradient_routes_agree_on_valid_circuits(pc, m, n, seed):
         floor = 8.0 * np.finfo(float).eps * max(abs(eval_f(inst, p)), 1.0) / h
         for g in (ga, gb):
             assert (np.abs(g - fd) <= np.maximum(1e-5 * np.abs(g), floor)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(pc=valid_circuits(), m=st.integers(1, 3), n=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_three_gradient_routes_agree_on_valid_circuits(pc, m, n, seed):
+    inst = build_instance(pc, gen_random(m, seed % 97), GdaParams(n=n, epsilon=1e-3, delta=0.5))
+    assert_three_gradient_routes_agree(inst, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pc=loose_circuits(), m=st.integers(1, 3), n=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+@example(pc=TANGLED, m=1, n=2, seed=0)
+def test_three_gradient_routes_agree_on_loose_circuits(pc, m, n, seed):
+    inst = build_instance(pc, gen_random(m, seed % 97), GdaParams(n=n, epsilon=1e-3, delta=0.5),
+                          validate=False)
+    assert_three_gradient_routes_agree(inst, seed)
 
 
 def test_gate_tables_refuse_vertices_outside_the_circuit():
@@ -632,6 +672,9 @@ def test_params_round_trip():
         back = GdaParams.from_json_dict(json.loads(blob))
         assert back == p
         assert json.dumps(back.to_json_dict(), sort_keys=True) == blob
+        # artifacts written with a "materializable" key still load
+        old = {**p.to_json_dict(), "materializable": False}
+        assert GdaParams.from_json_dict(old) == p
 
 
 def test_instance_round_trip():
