@@ -25,8 +25,6 @@ callers that want the slope alone.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 __all__ = [
@@ -48,10 +46,11 @@ def _as_finite(z) -> np.ndarray:
 
 
 def _switch(z, lo: float, hi: float, below: float, above: float, ramp, slope_ramp=None):
-    """``below`` where z <= lo, ``above`` where z >= hi, ``ramp(z)`` between.
+    """``below`` where z <= lo, ``above`` where z >= hi, ``ramp(t, z)`` between.
 
-    With ``slope_ramp`` the result is ``(value, slope)``, the slope being
-    0 outside (lo, hi) and ``slope_ramp(z)`` inside. The ramps are
+    Both ramps take the offset ``t = z - lo``, computed once, and z. With
+    ``slope_ramp`` the result is ``(value, slope)``, the slope being 0
+    outside (lo, hi) and ``slope_ramp(t, z)`` inside. The ramps are
     evaluated only on the elements strictly inside (lo, hi). A 0-d input
     returns floats and keeps numpy scalar arithmetic, whose ``pow`` may
     differ in the last bit from the array loop's, so scalar callers see
@@ -60,8 +59,9 @@ def _switch(z, lo: float, hi: float, below: float, above: float, ramp, slope_ram
     arr = _as_finite(z)
     if arr.ndim == 0:
         if lo < arr < hi:
-            value = float(ramp(arr))
-            return value if slope_ramp is None else (value, float(slope_ramp(arr)))
+            t = arr - lo
+            value = float(ramp(t, arr))
+            return value if slope_ramp is None else (value, float(slope_ramp(t, arr)))
         value = below if arr <= lo else above
         return value if slope_ramp is None else (value, 0.0)
     out = np.where(arr <= lo, below, above)
@@ -69,33 +69,31 @@ def _switch(z, lo: float, hi: float, below: float, above: float, ramp, slope_ram
     inside &= arr < hi
     if slope_ramp is None:
         if np.count_nonzero(inside):
-            out[inside] = ramp(arr[inside])
+            ramped = arr[inside]
+            out[inside] = ramp(ramped - lo, ramped)
         return out
     slope = np.zeros(out.shape)
     if np.count_nonzero(inside):
         ramped = arr[inside]
-        out[inside] = ramp(ramped)
-        slope[inside] = slope_ramp(ramped)
+        t = ramped - lo
+        out[inside] = ramp(t, ramped)
+        slope[inside] = slope_ramp(t, ramped)
     return out, slope
 
 
-def _nor_ramp(z):
-    t = z - 0.25
+def _nor_ramp(t, z):
     return 128.0 * t**3 - 48.0 * t**2 + 1.0
 
 
-def _nor_ramp_prime(z):
-    t = z - 0.25
+def _nor_ramp_prime(t, z):
     return 384.0 * t**2 - 96.0 * t
 
 
-def _purify_ramp(z):
-    t = z - 5.0 / 12.0
+def _purify_ramp(t, z):
     return 144.0 * t**2 * (2.0 - 3.0 * z)
 
 
-def _purify_ramp_prime(z):
-    t = z - 5.0 / 12.0
+def _purify_ramp_prime(t, z):
     return 288.0 * t * (2.0 - 3.0 * z) - 432.0 * t**2
 
 
@@ -132,18 +130,12 @@ def _check_m(m: int) -> int:
     return int(m)
 
 
-@functools.lru_cache(maxsize=16)
-def _threshold_ramps(m: int):
-    """The ramp and its slope for width parameter m, built once per m."""
-    def ramp(zz):
-        t = zz - 3.0 * m
-        return -2.0 * t**3 + 3.0 * t**2
+def _threshold_ramp(t, z):
+    return -2.0 * t**3 + 3.0 * t**2
 
-    def ramp_prime(zz):
-        t = zz - 3.0 * m
-        return -6.0 * t**2 + 6.0 * t
 
-    return ramp, ramp_prime
+def _threshold_ramp_prime(t, z):
+    return -6.0 * t**2 + 6.0 * t
 
 
 def distance_threshold(z, m: int, slope: bool = False):
@@ -153,11 +145,11 @@ def distance_threshold(z, m: int, slope: bool = False):
     from one call.
     """
     m = _check_m(m)
-    ramp, ramp_prime = _threshold_ramps(m)
-    return _switch(z, 3.0 * m, 3.0 * m + 1.0, 0.0, 1.0, ramp, ramp_prime if slope else None)
+    return _switch(z, 3.0 * m, 3.0 * m + 1.0, 0.0, 1.0, _threshold_ramp,
+                   _threshold_ramp_prime if slope else None)
 
 
 def distance_threshold_prime(z, m: int):
     """Derivative of ``distance_threshold``; bounded by 3/2 in absolute value."""
     m = _check_m(m)
-    return _switch(z, 3.0 * m, 3.0 * m + 1.0, 0.0, 0.0, _threshold_ramps(m)[1])
+    return _switch(z, 3.0 * m, 3.0 * m + 1.0, 0.0, 0.0, _threshold_ramp_prime)

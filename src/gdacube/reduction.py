@@ -26,8 +26,8 @@ Every per-vertex and per-gate table of that path is vertex-major, a
 (rows, B) array with one row per vertex or gate term, so each lookup in
 the plan is one ``take(idx, axis=0)`` row gather and each block of gate
 terms a contiguous run of rows. Only the (B, d) coordinate arrays stay
-batch-major. Sums run in gate order, so results equal those of a
-gate-by-gate loop bit for bit.
+batch-major. Sums run in gate order, the noise feedback as one ordered
+scatter-add, so results equal those of a gate-by-gate loop bit for bit.
 
 Gradients are available through two independent routes: ``eval_grad``
 aggregates per-vertex gate values and noise terms first, while
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -215,32 +214,20 @@ class GateTables:
     rows are added in pairs, and from ``purify_uu``, each PURIFY input
     twice, plus ``purify_shift`` (+1/4, then -1/4).
 
-    Noise contributions: one row per NOR gate to u and to v, then one per
-    PURIFY gate to u, then a 0 row. Pass k adds each vertex's k-th
-    contribution in gate order, so adding the passes to a +0.0
-    accumulator sums every vertex's terms in the order of a gate-by-gate
-    loop. ``noise_first`` gives every vertex one row (the 0 row for a
-    vertex with no contribution); each later pass is a (vertices, rows)
-    pair that lists only the vertices with a k-th contribution, so the
-    plan holds one entry per noise term plus kappa, however many gates one
-    vertex feeds.
+    Noise terms: one row per NOR gate to u and to v, then one per PURIFY
+    gate to u. ``noise_targets`` lists the vertex of each row, and one
+    scatter-add over it sums every vertex's terms in gate-loop order.
     """
 
     nor_uv: np.ndarray
     purify_uu: np.ndarray
     purify_shift: np.ndarray
     links: np.ndarray
-    noise_first: np.ndarray
-    noise_passes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    noise_targets: np.ndarray
 
     @property
     def n_nor(self) -> int:
         return self.nor_uv.size // 2
-
-
-def _index_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    return rows[:, 0].copy(), rows[:, 1].copy()
 
 
 def _compile_gates(pc: PureCircuitInstance) -> GateTables:
@@ -261,22 +248,10 @@ def _compile_gates(pc: PureCircuitInstance) -> GateTables:
                                for q in np.flatnonzero(producers > 1)])
 
     nor_uv = nor[:, :2].ravel()
-    targets = np.concatenate((nor_uv, purify[:, 0]))  # vertex of each noise term
-    passes: list[list[tuple[int, int]]] = []
-    seen: Counter[int] = Counter()
-    for row, target in enumerate(targets.tolist()):
-        if seen[target] == len(passes):
-            passes.append([])
-        passes[seen[target]].append((target, row))
-        seen[target] += 1
-    first = np.full(pc.kappa, targets.size, dtype=np.intp)  # the 0 row
-    if passes:
-        vertices, rows = _index_pairs(passes[0])
-        first[vertices] = rows
     return GateTables(
         nor_uv=nor_uv, purify_uu=np.repeat(purify[:, 0], 2),
         purify_shift=np.tile([0.25, -0.25], len(purify)), links=links,
-        noise_first=first, noise_passes=tuple(_index_pairs(p) for p in passes[1:]))
+        noise_targets=np.concatenate((nor_uv, purify[:, 0])))
 
 
 @dataclass
@@ -514,14 +489,15 @@ def _node_aggregates(inst: GdaInstance, lam, lam_p, H):
     to_pu = purify_slope[0::2] + purify_slope[1::2]
     to_pu *= lam_p.take(tables.purify_uu[0::2], axis=0)
     del links, nor_slope, purify_slope
-    terms = np.concatenate((to_nor.reshape(2 * n_nor, B), to_pu, np.zeros((1, B))))
+    terms = np.concatenate((to_nor.reshape(2 * n_nor, B), to_pu))
     del to_nor, to_pu
 
-    noise = terms.take(tables.noise_first, axis=0)
-    noise += 0.0  # the +0.0 accumulator: a lone -0.0 term reads +0.0
-    for vertices, rows in tables.noise_passes:
-        noise[vertices] += terms.take(rows, axis=0)
-    return s, noise
+    # bincount starts every (vertex, column) cell at +0.0 and adds its
+    # weights in input order, so each vertex's terms are summed in gate
+    # order and a lone -0.0 term reads +0.0. Without gates it returns ints.
+    cells = (tables.noise_targets[:, None] * B + np.arange(B)).ravel()
+    noise = np.bincount(cells, terms.ravel(), minlength=inst.kappa * B)
+    return s, noise.astype(float, copy=False).reshape(inst.kappa, B)
 
 
 def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

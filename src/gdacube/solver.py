@@ -70,6 +70,8 @@ class SolverConfig:
             raise ValueError("max_iters and restarts must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        if not math.isfinite(self.target):  # a negative target is one never reached
+            raise ValueError(f"target must be finite, got {self.target!r}")
 
 
 @dataclass(frozen=True)

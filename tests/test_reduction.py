@@ -415,6 +415,16 @@ def test_diagnostics_purify_saturation():
     assert diag.gate_value[w] == 1.0  # purify_gate(1 - 1/4)
 
 
+def test_gate_less_circuit_has_float_noise():
+    # no gate feeds either vertex, so each noise sum has no term at all
+    inst = build_instance(PureCircuitInstance(2), gen_random(1, 0),
+                          GdaParams(n=1, epsilon=1e-3, delta=0.5), validate=False)
+    diag = diagnostics(inst, JointPoint(np.array([0.2, 0.9]), np.array([0.7, 0.1])))
+    assert diag.noise.dtype == np.float64
+    assert np.array_equal(diag.noise, [0.0, 0.0]) and not np.signbit(diag.noise).any()
+    assert json.dumps(diag.to_json_dict()["noise"]) == "[0.0, 0.0]"
+
+
 # ------------------------------------------- gate tables vs the per-gate loop
 
 def loop_node_aggregates(inst, dist_sq, lam, H):
@@ -559,11 +569,9 @@ def test_gate_tables_run_in_gate_loop_order():
     assert tables.purify_uu.tolist() == [0, 0]
     assert tables.purify_shift.tolist() == [0.25, -0.25]
     assert tables.links.tolist() == [1, 0, 3, 2, 4]
-    # noise rows [NOR 0 to u 0, to v 1 | NOR 1 2, 3 | NOR 2 4, 5 | PURIFY 0
-    # to u 6 | 0 row 7]; vertex 0 takes five terms, vertices 1 and 2 one each
-    assert tables.noise_first.tolist() == [0, 3, 5, 7, 7]
-    assert [(v.tolist(), c.tolist()) for v, c in tables.noise_passes] == [
-        ([0], [1]), ([0], [2]), ([0], [4]), ([0], [6])]
+    # noise rows [NOR 0 to u, to v | NOR 1 | NOR 2 | PURIFY 0 to u], each
+    # row's target vertex; vertex 0 takes five terms, vertices 1 and 2 one each
+    assert tables.noise_targets.tolist() == [0, 0, 0, 1, 0, 2, 0]
 
 
 @pytest.mark.parametrize("nor, purify", [
@@ -579,18 +587,15 @@ def test_gate_tables_refuse_a_second_producer_without_validation(nor, purify):
 
 
 def test_gate_tables_stay_linear_in_the_noise_terms_around_a_hub():
-    # a valid circuit in which vertices 0 and 1 feed every NOR gate: one pass
-    # per noise term of the hub, so a plan with a kappa-wide index per pass
-    # would hold ~kappa^2 entries
+    # a valid circuit in which vertices 0 and 1 feed every NOR gate, so each
+    # takes ~kappa noise terms; the plan holds one entry per term
     kappa = 2000
     pc = PureCircuitInstance(kappa, nor_gates=((2, 3, 0), (2, 3, 1))
                              + tuple((0, 1, v) for v in range(2, kappa)))
     inst = build_instance(pc, gen_random(1, 0), GdaParams(n=1, epsilon=1e-3, delta=0.5))
     tables = inst.gates
     n_terms = 2 * tables.n_nor + tables.purify_uu.size // 2
-    assert len(tables.noise_passes) == kappa - 3
-    plan = tables.noise_first.size + sum(v.size + c.size for v, c in tables.noise_passes)
-    assert plan <= kappa + 2 * n_terms
+    assert tables.noise_targets.size == n_terms
     rng = np.random.default_rng(0)
     dist_sq = 3.0 + rng.uniform(-0.2, 1.2, (2, kappa))
     lam, H = rng.uniform(0.0, 0.9, (2, kappa)), rng.normal(size=(2, kappa))

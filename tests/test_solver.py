@@ -279,6 +279,11 @@ def test_solver_config_validation():
                 SolverConfig(**{field: bad})
     with pytest.raises(ValueError, match="seed must be non-negative"):
         SolverConfig(seed=-1)
+    # nan ran to the iteration cap and reported NaN, inf passed at iteration 0
+    for target in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="target must be finite"):
+            SolverConfig(target=target)
+    assert SolverConfig(target=-1.0).target == -1.0
     assert SolverConfig(max_iters=np.int64(5), restarts=np.int32(2)).max_iters == 5
 
 
