@@ -134,6 +134,11 @@ def cmd_eval(args) -> int:
 def _grad_check(inst: GdaInstance, points: int, seed: int, fd_step: float) -> dict:
     if points < 1:
         raise ValueError(f"grad-check needs at least one point, got {points}")
+    # checked here as well as in finite_diff_grad: the tolerance floor below
+    # divides by the step before the oracle runs, so that a step whose floor
+    # overflows is reported as such, not as one lost in rounding
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {fd_step!r}")
     rng = np.random.default_rng(seed)
     dual, fd_ratio = [], []
     for _ in range(points):
@@ -142,7 +147,6 @@ def _grad_check(inst: GdaInstance, points: int, seed: int, fd_step: float) -> di
         gb = np.concatenate(eval_grad_direct(inst, p))
         scale = max(np.abs(ga).max(), np.abs(gb).max(), 1.0)
         dual.append(np.abs(ga - gb).max() / scale)
-        fd = np.concatenate(finite_diff_grad(inst, p, h=fd_step))
         # fd_j = (f(p + h e_j) - f(p - h e_j)) / 2h subtracts two values near
         # f(p), each rounded to a few ulps of its magnitude, so fd_j carries
         # a rounding error of up to ~c * eps * |f| / h whatever g_j is. The
@@ -152,6 +156,7 @@ def _grad_check(inst: GdaInstance, points: int, seed: int, fd_step: float) -> di
         if math.isinf(floor):  # every error would pass
             raise ValueError(f"finite-difference step {fd_step!r} is so small that "
                              "its rounding error overflows")
+        fd = np.concatenate(finite_diff_grad(inst, p, h=fd_step))
         fd_ratio.append((np.abs(ga - fd) / np.maximum(1e-5 * np.abs(ga), floor)).max())
     # np.max keeps a NaN, so a NaN error fails the comparisons below
     worst_dual, worst_fd = float(np.max(dual)), float(np.max(fd_ratio))

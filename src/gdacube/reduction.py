@@ -16,11 +16,12 @@ and the link value is H_q = sum_i <D x_i^q + c, y_i^q - x_i^q>.
 
 ``build_instance`` compiles the circuit once into a gather plan
 (:class:`GateTables`). The objective, the gradient and ``diagnostics``
-share one forward path: ``_batch_parts`` computes distances and links
-for a (B, d) batch, and the levels and gate terms are then evaluated
-over whole tables with three gate calls in all: the distance threshold,
-NOR, and PURIFY on its +1/4 and -1/4 arguments at once. The gradient
-takes value and slope from each call, the objective the value.
+share one forward path: ``_block_parts`` computes distances and links
+for a stack of vertex blocks (``_batch_parts`` for all kappa blocks of a
+(B, d) batch), and the levels and gate terms are then evaluated over
+whole tables with three gate calls in all: the distance threshold, NOR,
+and PURIFY on its +1/4 and -1/4 arguments at once. The gradient takes
+value and slope from each call, the objective (``_objective``) the value.
 
 Every per-vertex and per-gate table of that path is vertex-major, a
 (rows, B) array with one row per vertex or gate term, so each lookup in
@@ -34,7 +35,10 @@ aggregates per-vertex gate values and noise terms first, while
 ``eval_grad_direct`` accumulates the expanded chain-rule contribution of
 every gate, one gate at a time and without the tables. Both must agree to
 floating-point accuracy; tests and the CLI grad-check enforce this
-against central finite differences (``finite_diff_grad``) as well.
+against central finite differences of the objective (``finite_diff_grad``)
+as well. That oracle re-evaluates only the perturbed vertex block of each
+moved point through ``_block_parts`` and reuses ``_objective`` for the
+rest, so it shares the objective's forward path but no gradient formula.
 """
 
 from __future__ import annotations
@@ -441,18 +445,21 @@ def _blocks_times(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (A.reshape(-1, m) @ M).reshape(A.shape)
 
 
-def _batch_parts(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
-    """Differences and D x + c, batch-major, for a (B, d) batch; squared
-    distances and link values as vertex-major (kappa, B) tables."""
-    B = X.shape[0]
-    shape = (B, inst.kappa, inst.n, inst.m)
-    Xr, Yr = X.reshape(shape), Y.reshape(shape)
-    diff = Xr - Yr
+def _block_parts(inst: GdaInstance, Xb: np.ndarray, Yb: np.ndarray):
+    """Differences and D x + c for a (B, K, n, m) stack of K vertex blocks
+    per row; squared distances and link values as (K, B) tables."""
+    diff = Xb - Yb
     dist_sq = np.einsum("bqnm,bqnm->qb", diff, diff)
-    dx_c = _blocks_times(Xr, inst.vi.D.T)
+    dx_c = _blocks_times(Xb, inst.vi.D.T)
     dx_c += inst.vi.c
     H = np.einsum("bqnm,bqnm->qb", dx_c, -diff)
     return diff, dist_sq, dx_c, H
+
+
+def _batch_parts(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
+    """``_block_parts`` of a (B, d) batch: the kappa vertex blocks of every row."""
+    shape = (X.shape[0], inst.kappa, inst.n, inst.m)
+    return _block_parts(inst, X.reshape(shape), Y.reshape(shape))
 
 
 def _gate_args(tables: GateTables, lam):
@@ -500,23 +507,28 @@ def _node_aggregates(inst: GdaInstance, lam, lam_p, H):
     return s, noise.astype(float, copy=False).reshape(inst.kappa, B)
 
 
-def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff, dist_sq, dx_c, H = _batch_parts(inst, X, Y)
-    del dx_c  # unused here; freeing it lowers finite_diff_grad's peak memory
+def _objective(inst: GdaInstance, dist_sq: np.ndarray, H: np.ndarray,
+               sq_norms: np.ndarray) -> np.ndarray:
+    """The objective of B points from their (kappa, B) squared distances and
+    links and the (B, kappa, n) squared norms of the copies of x - y."""
     lam = distance_threshold(dist_sq, inst.m)
-    del dist_sq
     tables = inst.gates
     nor_args, purify_args = _gate_args(tables, lam)
     # One row per gate term in gate order, after a leading 0.0: the
     # running sum down a column then adds the terms exactly as a loop would.
     # Allocated before the gate values, not after them: the other order
     # raised the peak RSS of a finite_diff_grad at d = 1024 by ~4 MB.
-    terms = np.zeros((1 + tables.links.size, X.shape[0]))
+    terms = np.zeros((1 + tables.links.size, dist_sq.shape[1]))
     np.multiply(np.concatenate((nor_gate(nor_args), purify_gate(purify_args))),
                 H.take(tables.links, axis=0), out=terms[1:])
     total = np.add.accumulate(terms, axis=0)[-1]
-    total += np.einsum("n,bqn->b", inst.M, (diff**2).sum(axis=3))
+    total += np.einsum("n,bqn->b", inst.M, sq_norms)
     return total
+
+
+def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    diff, dist_sq, _, H = _batch_parts(inst, X, Y)
+    return _objective(inst, dist_sq, H, (diff**2).sum(axis=3))
 
 
 def _grad_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
@@ -600,32 +612,60 @@ def eval_grad_direct(inst: GdaInstance, p: JointPoint) -> tuple[np.ndarray, np.n
     return gx.reshape(inst.d), gy.reshape(inst.d)
 
 
-# finite_diff_grad perturbs this many matrix elements at a time at most.
+# finite_diff_grad holds about this many table elements per chunk at most.
 FD_CHUNK_ELEMS = 1 << 20
 
 
 def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
     """Central-difference gradient of the objective, as an independent oracle.
 
-    The 2k perturbed copies of the k = 2d joint coordinates are evaluated
-    in chunks of at most ``FD_CHUNK_ELEMS`` elements, so memory stays
-    O(chunk) rather than O(d^2).
+    Each of the k = 2d joint coordinates z is moved to z + h and to z - h,
+    and the objective is evaluated at both points. A moved point differs
+    from p in one vertex's (n, m) block only, so the forward pass runs on
+    p once and then on the moved block of each point: the block's
+    distance and link from ``_block_parts``, and its squared copy norms,
+    are written into copies of p's tables, and ``_objective`` evaluates
+    the gate layer and the regularizer over every point. The values equal
+    those of ``_f_many`` on the whole moved batch bit for bit. Points are
+    taken in chunks of ``rows`` with rows * max(kappa n, n m) at most
+    ``FD_CHUNK_ELEMS``, so memory stays O(d * chunk).
+
+    Refuses an h that is lost in rounding, where z + h or z - h equals z
+    for some coordinate z: every difference there would read 0.
     """
     _check_point(inst, p)
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step must be finite and positive, got {h!r}")
     base = np.concatenate([p.x, p.y])
+    if ((base + h) == base).any() or ((base - h) == base).any():
+        raise ValueError(f"finite-difference step {h!r} is lost in rounding: "
+                         "z + h or z - h equals z for some coordinate z")
+    kappa, n, m = inst.kappa, inst.n, inst.m
+    diff, dist_sq, _, H = _batch_parts(inst, p.x[None, :], p.y[None, :])
+    sq_norms = (diff**2).sum(axis=3)
+    blocks = base.reshape(2, kappa, n * m)  # [player, vertex, copy and coordinate]
     k = base.size
     g = np.empty(k)
-    per_chunk = max(1, FD_CHUNK_ELEMS // (2 * k))  # coordinates per chunk
+    per_chunk = max(1, FD_CHUNK_ELEMS // (2 * max(kappa * n, n * m)))  # coordinates per chunk
     for start in range(0, k, per_chunk):
-        idx = np.arange(start, min(start + per_chunk, k))
-        rows = np.arange(idx.size)
-        P = np.repeat(base[None, :], 2 * idx.size, axis=0)
-        P[2 * rows, idx] += h
-        P[2 * rows + 1, idx] -= h
-        vals = _f_many(inst, P[:, : inst.d], P[:, inst.d:])
-        g[idx] = (vals[0::2] - vals[1::2]) / (2.0 * h)
+        player, flat = np.divmod(np.arange(start, min(start + per_chunk, k)), inst.d)
+        vertex, offset = np.divmod(flat, n * m)
+        rows = np.arange(2 * flat.size)
+        XY = blocks[:, vertex].repeat(2, axis=1)  # (2, rows, n m): each block twice
+        XY[player, rows[0::2], offset] += h
+        XY[player, rows[1::2], offset] -= h
+        XY = XY.reshape(2, rows.size, 1, n, m)
+        b_diff, b_dist_sq, _, b_H = _block_parts(inst, XY[0], XY[1])
+        moved = vertex.repeat(2)
+        chunk_dist_sq = dist_sq.repeat(rows.size, axis=1)
+        chunk_dist_sq[moved, rows] = b_dist_sq[0]
+        chunk_H = H.repeat(rows.size, axis=1)
+        chunk_H[moved, rows] = b_H[0]
+        chunk_sq_norms = sq_norms.repeat(rows.size, axis=0)
+        chunk_sq_norms[rows, moved] = (b_diff**2).sum(axis=3)[:, 0]
+        vals = _objective(inst, chunk_dist_sq, chunk_H, chunk_sq_norms)
+        g[start:start + flat.size] = (vals[0::2] - vals[1::2]) / (2.0 * h)
+        del chunk_dist_sq, chunk_H, chunk_sq_norms  # before the next chunk's copies
     return g[: inst.d], g[inst.d:]
 
 

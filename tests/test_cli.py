@@ -438,6 +438,14 @@ def test_subnormal_fd_step_is_a_validation_error(workspace, capsys):
     assert "rounding error overflows" in capsys.readouterr().err
 
 
+def test_vacuous_fd_step_is_a_validation_error(workspace, capsys):
+    # z + h rounds back to z, so every difference would read 0 and pass
+    *_, inst, _point, _instance = workspace
+    assert run("grad-check", "--instance", inst, "--points", 1,
+               "--fd-step", 1e-300) == cli.EXIT_VALIDATION
+    assert "lost in rounding" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("points", [0, -3])
 def test_grad_check_without_points_is_a_validation_error(workspace, capsys, points):
     # no point would pass vacuously and never look at --fd-step

@@ -282,9 +282,10 @@ def _unchunked_finite_diff(inst, p, h=1e-6):
     return g[: inst.d], g[inst.d:]
 
 
-# k = 2d = 192 joint coordinates, 2k = 384 elements per coordinate: chunks of
-# 1, 7 (a ragged last chunk), 64 and all 192 coordinates
-@pytest.mark.parametrize("elems", [384, 7 * 384, 64 * 384, 1 << 20])
+# k = 2d = 192 joint coordinates, each moved to two rows of
+# max(kappa n, n m) = 48 elements: chunks of 1, 7 (a ragged last chunk), 64
+# and all 192 coordinates
+@pytest.mark.parametrize("elems", [96, 7 * 96, 64 * 96, 1 << 20])
 def test_finite_diff_chunks_match_one_batch(shape_instances, monkeypatch, elems):
     inst = shape_instances["tree6-m2-n8"]
     monkeypatch.setattr(reduction, "FD_CHUNK_ELEMS", elems)
@@ -293,6 +294,15 @@ def test_finite_diff_chunks_match_one_batch(shape_instances, monkeypatch, elems)
         p = random_point(inst, rng)
         for got, want in zip(finite_diff_grad(inst, p), _unchunked_finite_diff(inst, p)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-17])
+def test_finite_diff_refuses_a_step_lost_in_rounding(shape_instances, h):
+    # z + h == z for some coordinate z, so every difference would read 0
+    inst = shape_instances["ring3-m2-n4"]
+    p = random_point(inst, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="lost in rounding"):
+        finite_diff_grad(inst, p, h=h)
 
 
 def test_finite_diff_memory_is_bounded():
@@ -558,6 +568,27 @@ def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
             got = (diag.gate_value, diag.noise, diag.link, diag.dist_sq, diag.dist_l1, diag.bit)
             want = loop_diagnostics(inst, p)
             assert all(bit_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pc=loose_circuits(), m=st.integers(1, 3), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(pc=TANGLED, m=1, n=4, seed=0)
+@example(pc=TANGLED, m=2, n=1, seed=1)
+@example(pc=gen_example("purify_tree", 9, 3), m=3, n=1, seed=2)
+def test_finite_diff_matches_one_batch_on_loose_circuits(pc, m, n, seed):
+    inst = build_instance(pc, gen_random(m, seed % 97), GdaParams(n=n, epsilon=1e-3, delta=0.5),
+                          validate=False)
+    rng = np.random.default_rng(seed)
+    X, Y = batch_near_ramps(inst, rng, 4)
+    # in the last two points about a quarter of the coordinates sit on the
+    # box faces 0 and 1, where z + h or z - h leaves the box
+    faces = rng.uniform(0, 1, (2, inst.d)) < 0.25
+    X[2:][faces], Y[2:][faces] = np.round(X[2:][faces]), np.round(Y[2:][faces])
+    for x, y in zip(X, Y):
+        p = JointPoint(x, y)
+        for got, want in zip(finite_diff_grad(inst, p), _unchunked_finite_diff(inst, p)):
+            assert bit_equal(got, want)
 
 
 def test_gate_tables_run_in_gate_loop_order():
