@@ -2,10 +2,11 @@
 
 Decoding runs in two phases. Phase 1 scans the per-vertex copies x_i^q in
 ascending (q, i) order and returns the first one accepted by the LinVI
-check. Phase 2 thresholds every squared block distance into {0, 1, bot}
-and verifies the resulting circuit assignment; when verification fails
-the outcome is an explicit Inconclusive record rather than a forced
-branch, because at desk-scale parameters neither branch is guaranteed.
+check, whose slack rule ``lin_vi.operator_slacks`` owns. Phase 2
+thresholds every squared block distance into {0, 1, bot} and verifies the
+resulting circuit assignment; when verification fails the outcome is an
+explicit Inconclusive record rather than a forced branch, because at
+desk-scale parameters neither branch is guaranteed.
 
 The audit evaluates, at any certified eps-stationary point, the chain of
 inequalities that make the decoding sound at hardness-scale parameters:
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lin_vi import SlackReport, check_solution, resolve_rho
+from .lin_vi import SlackReport, check_solution, operator_slacks, resolve_rho
 from .pure_circuit import Assignment, GateViolation, Trit, verify_assignment
 from .reduction import GdaInstance, JointPoint, _check_point, diagnostics
 from .solver import check_stationary
@@ -35,7 +36,6 @@ __all__ = [
     "LemmaAudit",
     "DichotomyReport",
     "decode",
-    "find_linvi_witness",
     "lemma_audit",
     "dichotomy_check",
 ]
@@ -83,7 +83,7 @@ class Inconclusive:
     violations: tuple[GateViolation, ...]
     best_q: int
     best_i: int
-    best_slack: float  # nearest miss of the LinVI scan
+    best_slack: float  # nearest miss: the first copy of largest worst slack
 
     def to_json_dict(self) -> dict:
         return {"kind": "inconclusive",
@@ -99,57 +99,37 @@ def _violation_dict(v: GateViolation) -> dict:
 
 def _scan(inst: GdaInstance, p: JointPoint, rho: float):
     """Worst LinVI slack of every copy x_i^q, flat in scan order (q, then i),
-    and the flat index of the first copy with worst >= -rho (None if none).
-
-    Equal bit for bit to ``check_solution(inst.vi, x_i^q).worst`` per copy:
-    the stacked mat-vec ``D @ z`` reproduces the per-row product, while
-    ``X @ D.T`` can round differently in the last bit.
-    """
-    vi = inst.vi
-    X = p.x.reshape(inst.kappa * inst.n, inst.m)
-    V = np.matmul(vi.D, X[:, :, None])[:, :, 0] + vi.c
-    worst = np.minimum(V * (0.0 - X), V * (1.0 - X)).min(axis=1)
-    hits = np.flatnonzero(worst >= -rho)
-    return worst, int(hits[0]) if hits.size else None
-
-
-def find_linvi_witness(inst: GdaInstance, p: JointPoint, rho: float | None = None):
-    """First (q, i) whose copy passes the LinVI check, plus the nearest miss.
-
-    Returns ((q, i, z, report) or None, (best_q, best_i, best_slack)). The
-    copies are scanned in ascending (q, i), and the nearest miss is the
-    first copy of largest worst slack among those before the witness,
-    (-1, -1, -inf) when there are none. Only the witness gets a full
-    ``check_solution``.
-    """
-    _check_point(inst, p)
-    rho = resolve_rho(inst.vi, rho)
-    worst, first = _scan(inst, p, rho)
-    before = worst[:first]
-    best = (-1, -1, -np.inf)
-    if before.size:
-        k = int(np.argmax(before))
-        best = (*inst.unindex(k * inst.m)[:2], float(worst[k]))
-    if first is None:
-        return None, best
-    q, i, _ = inst.unindex(first * inst.m)
-    z = p.x[first * inst.m:(first + 1) * inst.m].copy()
-    return (q, i, z, check_solution(inst.vi, z, rho)), best
+    and the mask of the copies that pass (worst >= -rho)."""
+    _, slacks = operator_slacks(inst.vi, p.x.reshape(inst.kappa * inst.n, inst.m))
+    worst = slacks.min(axis=1)
+    return worst, worst >= -rho
 
 
 def decode(inst: GdaInstance, p: JointPoint, rho: float | None = None):
-    """LinVI witness, verified circuit assignment, or an Inconclusive record."""
-    hit, best = find_linvi_witness(inst, p, rho)
-    if hit is not None:
-        q, i, z, rep = hit
-        return LinViWitness(q=q, i=i, z=z, report=rep)
+    """LinVI witness, verified circuit assignment, or an Inconclusive record.
+
+    The witness is the first copy, in ascending (q, i), that passes the
+    LinVI check, with its ``check_solution`` report. Without one, the
+    vertex levels are read as a circuit assignment; if that fails to
+    verify, Inconclusive names the nearest miss of the scan.
+    """
+    _check_point(inst, p)
+    rho = resolve_rho(inst.vi, rho)
+    worst, passed = _scan(inst, p, rho)
+    if passed.any():
+        k = int(passed.argmax())
+        q, i, _ = inst.unindex(k * inst.m)
+        z = p.x[k * inst.m:(k + 1) * inst.m].copy()
+        return LinViWitness(q=q, i=i, z=z, report=check_solution(inst.vi, z, rho))
     levels = {0.0: Trit.ZERO, 1.0: Trit.ONE}
     b = Assignment(tuple(levels.get(level, Trit.BOT) for level in diagnostics(inst, p).bit))
     violations = tuple(verify_assignment(inst.pc, b))
     if not violations:
         return PcAssignment(assignment=b, violations=violations)
+    k = int(worst.argmax())
+    q, i, _ = inst.unindex(k * inst.m)
     return Inconclusive(assignment=b, violations=violations,
-                        best_q=best[0], best_i=best[1], best_slack=float(best[2]))
+                        best_q=q, best_i=i, best_slack=float(worst[k]))
 
 
 @dataclass(frozen=True)
@@ -214,7 +194,7 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
             "inequalities only quantify over stationary points"
         )
     rho = resolve_rho(inst.vi, rho)
-    worst, first = _scan(inst, p, rho)
+    _, passed = _scan(inst, p, rho)
     diag = diagnostics(inst, p)
     kappa, n, m = inst.kappa, inst.n, inst.m
     delta = inst.delta
@@ -273,7 +253,7 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
     }
 
     one_mask = diag.gate_value == 1.0
-    no_witness = one_mask & ~(worst.reshape(kappa, n) >= -rho).any(axis=1)
+    no_witness = one_mask & ~passed.reshape(kappa, n).any(axis=1)
     one_ok = diag.dist_sq[no_witness] >= 3.0 * m + 1.0 - AUDIT_SLACK
     cons_one = {
         "applicable": no_witness.tolist(),
@@ -285,7 +265,7 @@ def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
                       "n_ge_2^24_m^6_k^2_over_delta^4", "eps_le_delta^3_over_2^16_m^4_k^2")},
     }
 
-    witness = None if first is None else inst.unindex(first * m)[:2]
+    witness = inst.unindex(int(passed.argmax()) * m)[:2] if passed.any() else None
     s, lam = diag.gate_value, diag.bit
     consistent = bool(np.all((s != 1.0) | (lam == 1.0)) and np.all((s != 0.0) | (lam == 0.0)))
 

@@ -4,26 +4,37 @@ An instance is (D, c, rho) with D in [-1,1]^{m x m} and c in [-1,1]^m.
 A point z in [0,1]^m is accepted when every componentwise slack
 (Dz+c)_j (z'_j - z_j) stays above -rho for all feasible z'_j; since the
 slack is affine in z'_j its worst case sits at an endpoint, so only
-z'_j in {0, 1} is ever evaluated.
+z'_j in {0, 1} is ever evaluated. ``operator_slacks`` owns that rule:
+``check_solution``, ``brute_force_solve`` and the decoder's copy scan
+all read their slacks from it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pure_circuit import json_int
 
-__all__ = ["LinVIInstance", "SlackReport", "check_solution", "resolve_rho",
-           "brute_force_solve", "gen_random"]
+__all__ = ["LinVIInstance", "SlackReport", "operator_slacks", "check_solution",
+           "resolve_rho", "brute_force_solve", "gen_random"]
 
 
 def _require_rho(rho: float) -> float:
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be finite and positive, got {rho!r}")
     return rho
+
+
+def _real(value, what: str):
+    """A number read from a JSON artifact; a bool, string or null is refused
+    (ValueError) instead of being converted (``true`` to 1.0, ``"0.5"`` to 0.5)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -52,8 +63,12 @@ class LinVIInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LinVIInstance":
-        return cls(m=json_int(d["m"], "m"), D=np.array(d["D"], dtype=float),
-                   c=np.array(d["c"], dtype=float), rho=float(d["rho"]))
+        D, c = np.array(d["D"], dtype=object), np.array(d["c"], dtype=object)
+        for what, entries in (("every entry of D", D), ("every entry of c", c)):
+            for x in entries.ravel():
+                _real(x, what)
+        return cls(m=json_int(d["m"], "m"), D=D.astype(float), c=c.astype(float),
+                   rho=float(_real(d["rho"], "rho")))
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,17 @@ def resolve_rho(inst: LinVIInstance, rho: float | None = None) -> float:
     return inst.rho if rho is None else _require_rho(float(rho))
 
 
+def operator_slacks(inst: LinVIInstance, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Operator values Dz + c and per-component worst slacks of a (rows, m)
+    stack of points, both (rows, m); a row passes when its worst slack is >= -rho.
+
+    The operator is the stacked mat-vec, one ``D @ z`` per row, so no row's
+    result depends on the other rows.
+    """
+    V = np.matmul(inst.D, Z[:, :, None])[:, :, 0] + inst.c
+    return V, np.minimum(V * (0.0 - Z), V * (1.0 - Z))
+
+
 def check_solution(inst: LinVIInstance, z: np.ndarray, rho: float | None = None) -> SlackReport:
     """Componentwise acceptance test; rho defaults to the instance value."""
     rho = resolve_rho(inst, rho)
@@ -86,8 +112,7 @@ def check_solution(inst: LinVIInstance, z: np.ndarray, rho: float | None = None)
         raise ValueError(f"z must have length {inst.m}")
     if z.min() < 0.0 or z.max() > 1.0:
         raise ValueError("z must lie in the unit box")
-    v = inst.operator(z)
-    slacks = np.minimum(v * (0.0 - z), v * (1.0 - z))
+    _, (slacks,) = operator_slacks(inst, z[None, :])
     return SlackReport(slacks=slacks, rho=rho, passed=bool(slacks.min() >= -rho))
 
 
@@ -112,8 +137,8 @@ def brute_force_solve(inst: LinVIInstance, grid_step: float) -> np.ndarray:
     vals = _grid_values(grid_step)
     grids = np.meshgrid(*([vals] * inst.m), indexing="ij")
     Z = np.stack([g.ravel() for g in grids], axis=1)  # lexicographic order
-    V = Z @ inst.D.T + inst.c
-    slack = np.minimum(-V * Z, V * (1.0 - Z)).min(axis=1)
+    V, slacks = operator_slacks(inst, Z)
+    slack = slacks.min(axis=1)
     best = slack == slack.max()
     tied = np.flatnonzero(best)
     vmag = np.abs(V[tied]).max(axis=1)

@@ -272,10 +272,6 @@ class GdaInstance:
     gates: GateTables
 
     @property
-    def epsilon(self) -> float:
-        return float(self.params.epsilon)
-
-    @property
     def delta(self) -> float:
         return float(self.params.delta)
 

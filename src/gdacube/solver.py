@@ -41,15 +41,6 @@ class StationarityReport:
     epsilon: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_violation": self.max_violation,
-            "epsilon": self.epsilon,
-            "pass": self.passed,
-            "violations_x": self.violations_x.tolist(),
-            "violations_y": self.violations_y.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -238,6 +238,11 @@ VI1 = {"m": 1, "D": [[0.5]], "c": [0.2], "rho": 0.1}
     (RING3_PC, {**VI1, "D": [[float("nan")]]}, cli.EXIT_VALIDATION),
     (RING3_PC, {**VI1, "c": [float("nan")]}, cli.EXIT_VALIDATION),
     (RING3_PC, {**VI1, "rho": float("inf")}, cli.EXIT_VALIDATION),
+    (RING3_PC, {**VI1, "rho": True}, cli.EXIT_VALIDATION),
+    (RING3_PC, {**VI1, "rho": "0.1"}, cli.EXIT_VALIDATION),
+    (RING3_PC, {**VI1, "D": [[True]]}, cli.EXIT_VALIDATION),
+    (RING3_PC, {**VI1, "c": ["0.5"]}, cli.EXIT_VALIDATION),
+    (RING3_PC, {**VI1, "D": [[0.5, 0.1]]}, cli.EXIT_VALIDATION),
     ({"kappa": 0, "nor": [], "purify": []}, VI1, cli.EXIT_VALIDATION),
     ({"nor": [[1, 2, 0]], "purify": [[0, 1, 2]]}, VI1, cli.EXIT_PARSE),
     ({**RING3_PC, "kappa": None}, VI1, cli.EXIT_PARSE),
@@ -247,7 +252,8 @@ VI1 = {"m": 1, "D": [[0.5]], "c": [0.2], "rho": 0.1}
     (RING3_PC, {**VI1, "m": "1"}, cli.EXIT_PARSE),
     ({**RING3_PC, "nor": [[1, 2.5, 0]]}, VI1, cli.EXIT_PARSE),
     ({**RING3_PC, "purify": [[0, "1", 2]]}, VI1, cli.EXIT_PARSE),
-], ids=["nan-in-D", "nan-in-c", "infinite-rho", "kappa-0", "no-kappa-key", "null-kappa",
+], ids=["nan-in-D", "nan-in-c", "infinite-rho", "bool-rho", "string-rho", "bool-in-D",
+        "string-in-c", "D-not-m-by-m", "kappa-0", "no-kappa-key", "null-kappa",
         "fractional-kappa", "string-kappa", "fractional-m", "string-m",
         "fractional-vertex", "string-vertex"])
 def test_malformed_build_inputs_exit_with_their_code(tmp_path, pc, vi, code):
@@ -257,6 +263,20 @@ def test_malformed_build_inputs_exit_with_their_code(tmp_path, pc, vi, code):
     assert run("build", "--pc", pc_path, "--vi", vi_path, "--n", 2, "--epsilon", 1e-3,
                "--delta", 0.5, "--out", tmp_path / "inst.json") == code
     assert not (tmp_path / "inst.json").exists()
+
+
+def test_custom_build_without_n_is_a_parse_error(workspace, capsys):
+    tmp, pc, vi, *_ = workspace
+    assert run("build", "--pc", pc, "--vi", vi, "--epsilon", 1e-3, "--delta", 0.5,
+               "--out", tmp / "nope.json") == cli.EXIT_PARSE
+    assert "custom mode needs --n" in capsys.readouterr().err
+    assert not (tmp / "nope.json").exists()
+
+
+def test_gen_vi_without_coordinates_is_a_validation_error(tmp_path, capsys):
+    assert run("gen-vi", "--m", 0, "--out", tmp_path / "vi.json") == cli.EXIT_VALIDATION
+    assert "m must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "vi.json").exists()
 
 
 def test_non_integer_copy_count_is_a_validation_error(workspace, tmp_path):
@@ -315,6 +335,18 @@ def test_point_of_the_wrong_length_is_a_validation_error(workspace, tmp_path, ca
     assert run(command, "--instance", inst, "--point", short, *flags) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"point has dimension {half.size}, instance needs {instance.d}" in err
+
+
+@pytest.mark.parametrize("blob, message", [
+    ({"x": [0.5, float("nan")], "y": [0.5, 0.5]}, "coordinates must be finite"),
+    ({"x": [0.5, 0.5], "y": [0.5]}, "x and y must be equal-length vectors"),
+], ids=["nan-coordinate", "unequal-lengths"])
+def test_malformed_point_file_is_a_validation_error(workspace, tmp_path, capsys, blob, message):
+    *_, inst, _point, _instance = workspace
+    bad = tmp_path / "bad_point.json"
+    bad.write_text(json.dumps(blob))
+    assert run("eval", "--instance", inst, "--point", bad) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 # the workspace instance has d = kappa*n*m = 3*2*1 = 6

@@ -17,10 +17,9 @@ from gdacube.decoder import (
     PcAssignment,
     decode,
     dichotomy_check,
-    find_linvi_witness,
     lemma_audit,
 )
-from gdacube.lin_vi import LinVIInstance, check_solution
+from gdacube.lin_vi import LinVIInstance, operator_slacks
 from gdacube.pure_circuit import PureCircuitInstance, Trit, gen_example
 from gdacube.reduction import GdaParams, JointPoint, build_instance, diagnostics
 from gdacube.solver import SolverConfig, check_stationary, extragradient
@@ -119,9 +118,8 @@ def test_decode_deterministic():
 def test_decode_refuses_a_point_of_the_wrong_length():
     inst = make_instance("ring3-m2-n4")  # d = 3*4*2 = 24
     half = np.zeros(inst.d // 2)
-    for call in (decode, find_linvi_witness):
-        with pytest.raises(ValueError, match=f"point has dimension 12, instance needs {inst.d}"):
-            call(inst, JointPoint(half, half))
+    with pytest.raises(ValueError, match=f"point has dimension 12, instance needs {inst.d}"):
+        decode(inst, JointPoint(half, half))
 
 
 # --------------------------------------------- gate case analyses, NOR side
@@ -160,6 +158,14 @@ def test_nor_undecided_inputs_leave_output_free(out_dist, expected):
     out = decode(inst, p)
     assert isinstance(out, PcAssignment)
     assert out.assignment.values[2] == expected
+
+
+def test_pc_outcome_json_reports_a_verified_assignment():
+    inst = nor_case_instance()
+    out = decode(inst, place(inst, [3.5, 0.0, 4.0]))
+    assert json.loads(json.dumps(out.to_json_dict())) == {
+        "kind": "pc", "assignment": [Trit.BOT.value, Trit.ZERO.value, Trit.ONE.value],
+        "verified": True, "violations": []}
 
 
 # ------------------------------------------ gate case analyses, PURIFY side
@@ -290,48 +296,48 @@ def test_dichotomy_asserted_at_a_consistent_point_when_premises_hold():
 def test_find_witness_reports_nearest_miss():
     inst = build(gen_example("ring", 3, 0), n=1)
     x = np.array([0.3, 0.2, 0.5])
-    hit, best = find_linvi_witness(inst, JointPoint(x, x.copy()), rho=0.1)
-    assert hit is None
-    assert best == (1, 1, pytest.approx(-0.2))
+    out = decode(inst, JointPoint(x, x.copy()), rho=0.1)
+    assert isinstance(out, Inconclusive)
+    assert (out.best_q, out.best_i, out.best_slack) == (1, 1, pytest.approx(-0.2))
 
 
 # ------------------------------------------- batched scan vs per-copy loop
 
-def reference_find_linvi_witness(inst, p, rho=None):
-    """The per-copy loop the batched scan replaced, kept as its reference."""
+def reference_slacks(inst, p):
+    """Per-component worst slacks of every copy in (q, i) order, copy by copy:
+    the operator ``D @ z + c`` and the endpoint minimum written out here."""
+    out = []
+    for z in p.x.reshape(inst.kappa * inst.n, inst.m):
+        v = inst.vi.operator(z)
+        out.append(np.minimum(v * (0.0 - z), v * (1.0 - z)))
+    return out
+
+
+def reference_passes(inst, p, rho=None):
     rho = inst.vi.rho if rho is None else float(rho)
-    X = p.x.reshape(inst.kappa, inst.n, inst.m)
-    best = (-1, -1, -np.inf)
-    for q in range(inst.kappa):
-        for i in range(1, inst.n + 1):
-            z = X[q, i - 1]
-            rep = check_solution(inst.vi, z, rho)
-            if rep.passed:
-                return (q, i, z.copy(), rep), best
-            if rep.worst > best[2]:
-                best = (q, i, rep.worst)
-    return None, best
+    return [s.min() >= -rho for s in reference_slacks(inst, p)]
 
 
 def reference_no_witness(inst, p, rho=None):
     """``consistency_one["applicable"]`` computed copy by copy."""
-    rho = inst.vi.rho if rho is None else float(rho)
-    X = p.x.reshape(inst.kappa, inst.n, inst.m)
+    passes = reference_passes(inst, p, rho)
     one_mask = diagnostics(inst, p).gate_value == 1.0
-    return [bool(one_mask[q] and not any(check_solution(inst.vi, X[q, i], rho).passed
-                                         for i in range(inst.n)))
+    return [bool(one_mask[q] and not any(passes[q * inst.n:(q + 1) * inst.n]))
             for q in range(inst.kappa)]
 
 
 def reference_dichotomy(inst, p, rho=None):
-    """The dichotomy as built from the point itself: scan plus diagnostics."""
-    hit, _best = find_linvi_witness(inst, p, rho)
+    """The dichotomy as built from the point itself: per-copy loop plus diagnostics."""
+    passes = reference_passes(inst, p, rho)
+    witness = None
+    if any(passes):
+        q, i = divmod(passes.index(True), inst.n)
+        witness = (q, i + 1)
     diag = diagnostics(inst, p)
     s, lam = diag.gate_value, diag.bit
     consistency = bool(np.all((s != 1.0) | (lam == 1.0)) and np.all((s != 0.0) | (lam == 0.0)))
     premises = inst.premises()
-    return DichotomyReport(linvi_branch=hit is not None,
-                           witness=None if hit is None else (hit[0], hit[1]),
+    return DichotomyReport(linvi_branch=witness is not None, witness=witness,
                            consistency_branch=consistency, premises=premises,
                            asserted=all(premises.values()))
 
@@ -342,18 +348,29 @@ def same_bits(a, b) -> bool:
 
 
 def assert_scan_matches_reference(inst, p, rho=None):
-    (hit, best), (want_hit, want_best) = (find_linvi_witness(inst, p, rho),
-                                          reference_find_linvi_witness(inst, p, rho))
-    assert best[:2] == want_best[:2] and same_bits(best[2], want_best[2])
-    assert type(best[0]) is int and type(best[2]) is float
-    assert (hit is None) == (want_hit is None)
-    if hit is not None:
-        q, i, z, rep = hit
-        wq, wi, wz, wrep = want_hit
-        assert (q, i) == (wq, wi) and type(q) is int
-        assert same_bits(z, wz) and not np.shares_memory(z, p.x)
-        assert same_bits(rep.slacks, wrep.slacks)
-        assert (rep.rho, rep.passed) == (wrep.rho, wrep.passed)
+    """``decode`` and ``lemma_audit`` against the per-copy loop; returns the outcome."""
+    slacks = reference_slacks(inst, p)
+    _, stacked = operator_slacks(inst.vi, p.x.reshape(inst.kappa * inst.n, inst.m))
+    assert same_bits(stacked, slacks)  # every row rounds as its own D @ z
+    worst = [s.min() for s in slacks]
+    passes = reference_passes(inst, p, rho)
+    out = decode(inst, p, rho)
+    if any(passes):
+        k = passes.index(True)
+        z = p.x.reshape(-1, inst.m)[k]
+        assert isinstance(out, LinViWitness)
+        assert (out.q, out.i) == (k // inst.n, k % inst.n + 1) and type(out.q) is int
+        assert same_bits(out.z, z) and not np.shares_memory(out.z, p.x)
+        assert same_bits(out.report.slacks, slacks[k])
+        assert out.report.rho == (inst.vi.rho if rho is None else float(rho))
+        assert out.report.passed
+    else:
+        assert not isinstance(out, LinViWitness)
+        if isinstance(out, Inconclusive):
+            k = worst.index(max(worst))  # the first copy of largest worst slack
+            assert (out.best_q, out.best_i) == (k // inst.n, k % inst.n + 1)
+            assert type(out.best_q) is int and type(out.best_slack) is float
+            assert same_bits(out.best_slack, worst[k])
     eps = check_stationary(inst, p, 0.0).max_violation
     audit = lemma_audit(inst, p, eps, rho)
     assert audit.consistency_one["applicable"] == reference_no_witness(inst, p, rho)
@@ -365,7 +382,7 @@ def assert_scan_matches_reference(inst, p, rho=None):
     else:
         with pytest.raises(AuditError):
             dichotomy_check(all_premises_hold(audit))
-    return hit, best
+    return out
 
 
 unit = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])
@@ -407,7 +424,7 @@ def test_batched_scan_matches_per_copy_loop(case):
 def test_batched_scan_matches_at_a_chosen_first_hit(case, data):
     # rho set to minus a chosen copy's worst slack makes that copy pass exactly
     inst, p, _rho = case
-    worst = [check_solution(inst.vi, z).worst for z in p.x.reshape(-1, inst.m)]
+    worst = [s.min() for s in reference_slacks(inst, p)]
     k = data.draw(st.integers(0, len(worst) - 1))
     if worst[k] < 0.0:
         assert_scan_matches_reference(inst, p, -worst[k])
@@ -417,25 +434,25 @@ def test_scan_hit_at_copy_zero_has_no_nearest_miss():
     inst = build(gen_example("ring", 3, 0), n=2)
     x = np.full(inst.d, 0.5)
     x[0] = 0.0
-    hit, best = assert_scan_matches_reference(inst, JointPoint(x, x.copy()))
-    assert hit[:2] == (0, 1)
-    assert best == (-1, -1, -np.inf)
+    out = assert_scan_matches_reference(inst, JointPoint(x, x.copy()))
+    assert isinstance(out, LinViWitness) and (out.q, out.i) == (0, 1)
+    assert "best_slack" not in out.to_json_dict()
 
 
-def test_scan_hit_in_a_middle_copy_reports_the_misses_before_it():
+def test_scan_hit_in_a_middle_copy_wins_over_later_hits():
     inst = build(gen_example("ring", 3, 0), n=2)
     x = np.array([0.5, 0.3, 0.4, 0.05, 0.3, 0.0])  # copy 3 (q=1, i=2) passes
-    hit, best = assert_scan_matches_reference(inst, JointPoint(x, x.copy()))
-    assert hit[:2] == (1, 2)
-    assert best == (0, 2, pytest.approx(-0.3))  # copy 5 passes too, but later
+    out = assert_scan_matches_reference(inst, JointPoint(x, x.copy()))
+    assert isinstance(out, LinViWitness)
+    assert (out.q, out.i) == (1, 2)  # copy 5 passes too, but later
 
 
 def test_scan_tied_nearest_misses_keep_the_first():
     inst = build(gen_example("ring", 3, 0), n=2)
     x = np.array([0.5, 0.2, 0.3, 0.2, 0.2, 0.9])
-    hit, best = assert_scan_matches_reference(inst, JointPoint(x, x.copy()))
-    assert hit is None
-    assert best == (0, 2, pytest.approx(-0.2))
+    out = assert_scan_matches_reference(inst, JointPoint(x, x.copy()))
+    assert isinstance(out, Inconclusive)
+    assert (out.best_q, out.best_i, out.best_slack) == (0, 2, pytest.approx(-0.2))
 
 
 def test_dichotomy_sees_a_zero_gate_value_off_level_zero():
@@ -484,7 +501,6 @@ def test_rho_override_must_be_finite_and_positive(rho):
     inst = build(gen_example("ring", 3, 0), n=1)
     x = np.full(inst.d, 0.3)
     p = JointPoint(x, x.copy())
-    for fn in (lambda: decode(inst, p, rho), lambda: find_linvi_witness(inst, p, rho),
-               lambda: lemma_audit(inst, p, inst.bounds.G, rho)):
+    for fn in (lambda: decode(inst, p, rho), lambda: lemma_audit(inst, p, inst.bounds.G, rho)):
         with pytest.raises(ValueError, match="rho must be finite and positive"):
             fn()

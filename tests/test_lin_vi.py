@@ -82,6 +82,11 @@ def test_brute_force_rejects_large_m():
         brute_force_solve(gen_random(4, 0), 0.5)
 
 
+def test_brute_force_rejects_a_step_that_does_not_divide_the_interval():
+    with pytest.raises(ValueError, match="must evenly divide"):
+        brute_force_solve(gen_random(1, 0), 0.3)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_oracle_consistency_with_rho_3mh(m, seed):

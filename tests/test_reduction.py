@@ -305,6 +305,14 @@ def test_finite_diff_refuses_a_step_lost_in_rounding(shape_instances, h):
         finite_diff_grad(inst, p, h=h)
 
 
+@pytest.mark.parametrize("h", [0.0, np.nan, np.inf])
+def test_finite_diff_refuses_a_step_that_is_not_finite_and_positive(shape_instances, h):
+    inst = shape_instances["ring3-m2-n4"]
+    p = random_point(inst, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        finite_diff_grad(inst, p, h=h)
+
+
 def test_finite_diff_memory_is_bounded():
     # d = 1024: the unchunked (4d, 2d) batch and its temporaries need ~170 MB
     inst = build_instance(gen_example("purify_tree", 64, 1), gen_random(2, 2),
