@@ -29,12 +29,34 @@ def _require_rho(rho: float) -> float:
     return rho
 
 
-def _real(value, what: str):
-    """A number read from a JSON artifact; a bool, string or null is refused
-    (ValueError) instead of being converted (``true`` to 1.0, ``"0.5"`` to 0.5)."""
+def json_real(value, what: str) -> float:
+    """A number read from a JSON artifact, as a float.
+
+    Refuses (ValueError) a bool, string or null instead of converting it
+    (``true`` to 1.0, ``"0.5"`` to 0.5), and an integer too large for a float.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a real number within float range") from None
+
+
+def json_reals(values: list, what: str) -> np.ndarray:
+    """A flat JSON list of numbers as a float array, refused where
+    ``json_real`` would refuse an entry. One ``map(type, ...)`` pass
+    collects the entry types and each distinct type is tested once, so a
+    point file's 25k-entry lists stay cheap to read."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of real numbers, got {values!r}")
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+            raise ValueError(f"{what} must hold real numbers only, got a {kind.__name__}")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -63,12 +85,12 @@ class LinVIInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LinVIInstance":
-        D, c = np.array(d["D"], dtype=object), np.array(d["c"], dtype=object)
-        for what, entries in (("every entry of D", D), ("every entry of c", c)):
-            for x in entries.ravel():
-                _real(x, what)
-        return cls(m=json_int(d["m"], "m"), D=D.astype(float), c=c.astype(float),
-                   rho=float(_real(d["rho"], "rho")))
+        def entries(k):  # D is nested, so its entries are read flat
+            a = np.array(d[k], dtype=object)
+            return json_reals(a.ravel().tolist(), k).reshape(a.shape)
+
+        return cls(m=json_int(d["m"], "m"), D=entries("D"), c=entries("c"),
+                   rho=json_real(d["rho"], "rho"))
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,16 @@ for a stack of vertex blocks (``_batch_parts`` for all kappa blocks of a
 (B, d) batch), and the levels and gate terms are then evaluated over
 whole tables with three gate calls in all: the distance threshold, NOR,
 and PURIFY on its +1/4 and -1/4 arguments at once. The gradient takes
-value and slope from each call, the objective (``_objective``) the value.
+value and slope from each call; the objective (``_objective``) takes the
+levels and the value of the other two calls.
 
 Every per-vertex and per-gate table of that path is vertex-major, a
 (rows, B) array with one row per vertex or gate term, so each lookup in
 the plan is one ``take(idx, axis=0)`` row gather and each block of gate
 terms a contiguous run of rows. Only the (B, d) coordinate arrays stay
-batch-major. Sums run in gate order, the noise feedback as one ordered
-scatter-add, so results equal those of a gate-by-gate loop bit for bit.
+batch-major. Sums run in gate order, the noise feedback and the
+objective's gate terms each as one ordered ``np.bincount`` scatter-add
+from +0.0, so results equal those of a gate-by-gate loop bit for bit.
 
 Gradients are available through two independent routes: ``eval_grad``
 aggregates per-vertex gate values and noise terms first, while
@@ -36,15 +38,15 @@ aggregates per-vertex gate values and noise terms first, while
 every gate, one gate at a time and without the tables. Both must agree to
 floating-point accuracy; tests and the CLI grad-check enforce this
 against central finite differences of the objective (``finite_diff_grad``)
-as well. That oracle re-evaluates only the perturbed vertex block of each
-moved point through ``_block_parts`` and reuses ``_objective`` for the
-rest, so it shares the objective's forward path but no gradient formula.
+as well. That oracle re-evaluates and re-thresholds only the perturbed
+vertex block of each moved point and reuses ``_objective`` for the rest,
+in chunks sized to stay in cache, so it shares the objective's forward
+path but no gradient formula.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +60,7 @@ from .gates import (
     purify_gate,
     purify_gate_prime,
 )
-from .lin_vi import LinVIInstance
+from .lin_vi import LinVIInstance, json_real, json_reals
 from .pure_circuit import PureCircuitInstance, json_int, validate_instance
 
 __all__ = [
@@ -116,9 +118,7 @@ class GdaParams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "custom":
             for k in ("n", "epsilon", "delta"):
-                x = getattr(self, k)
-                if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                    raise ValueError(f"{k} must be a real number, got {x!r}")
+                json_real(getattr(self, k), k)  # not a bool or string, and fits a float
             n = self.n
             if not (math.isfinite(n) and n == int(n)):
                 raise ValueError(f"n must be an integer, got {n!r}")
@@ -397,7 +397,7 @@ class JointPoint:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "JointPoint":
-        return cls(np.array(d["x"], dtype=float), np.array(d["y"], dtype=float))
+        return cls(json_reals(d["x"], "x"), json_reals(d["y"], "y"))
 
 
 @dataclass(frozen=True)
@@ -503,28 +503,29 @@ def _node_aggregates(inst: GdaInstance, lam, lam_p, H):
     return s, noise.astype(float, copy=False).reshape(inst.kappa, B)
 
 
-def _objective(inst: GdaInstance, dist_sq: np.ndarray, H: np.ndarray,
+def _objective(inst: GdaInstance, lam: np.ndarray, H: np.ndarray,
                sq_norms: np.ndarray) -> np.ndarray:
-    """The objective of B points from their (kappa, B) squared distances and
-    links and the (B, kappa, n) squared norms of the copies of x - y."""
-    lam = distance_threshold(dist_sq, inst.m)
+    """The objective of B points from their (kappa, B) levels and links and
+    the (B, kappa, n) squared norms of the copies of x - y.
+
+    Each column's gate terms are summed in gate order from +0.0, as a
+    gate-by-gate loop adds them, with the ordered bincount of the noise
+    feedback. With no gate terms bincount returns int zeros, hence the cast.
+    """
     tables = inst.gates
+    B = lam.shape[1]
     nor_args, purify_args = _gate_args(tables, lam)
-    # One row per gate term in gate order, after a leading 0.0: the
-    # running sum down a column then adds the terms exactly as a loop would.
-    # Allocated before the gate values, not after them: the other order
-    # raised the peak RSS of a finite_diff_grad at d = 1024 by ~4 MB.
-    terms = np.zeros((1 + tables.links.size, dist_sq.shape[1]))
-    np.multiply(np.concatenate((nor_gate(nor_args), purify_gate(purify_args))),
-                H.take(tables.links, axis=0), out=terms[1:])
-    total = np.add.accumulate(terms, axis=0)[-1]
+    terms = np.concatenate((nor_gate(nor_args), purify_gate(purify_args)))
+    terms *= H.take(tables.links, axis=0)
+    cols = np.tile(np.arange(B), tables.links.size)
+    total = np.bincount(cols, terms.ravel(), minlength=B).astype(float, copy=False)
     total += np.einsum("n,bqn->b", inst.M, sq_norms)
     return total
 
 
 def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     diff, dist_sq, _, H = _batch_parts(inst, X, Y)
-    return _objective(inst, dist_sq, H, (diff**2).sum(axis=3))
+    return _objective(inst, distance_threshold(dist_sq, inst.m), H, (diff**2).sum(axis=3))
 
 
 def _grad_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
@@ -608,8 +609,9 @@ def eval_grad_direct(inst: GdaInstance, p: JointPoint) -> tuple[np.ndarray, np.n
     return gx.reshape(inst.d), gy.reshape(inst.d)
 
 
-# finite_diff_grad holds about this many table elements per chunk at most.
-FD_CHUNK_ELEMS = 1 << 20
+# finite_diff_grad holds about this many table elements per chunk at most:
+# 2 MiB of float64, so that a chunk's largest table fits a 2 MiB L2 cache.
+FD_CHUNK_ELEMS = 1 << 18
 
 
 def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
@@ -618,13 +620,15 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
     Each of the k = 2d joint coordinates z is moved to z + h and to z - h,
     and the objective is evaluated at both points. A moved point differs
     from p in one vertex's (n, m) block only, so the forward pass runs on
-    p once and then on the moved block of each point: the block's
-    distance and link from ``_block_parts``, and its squared copy norms,
-    are written into copies of p's tables, and ``_objective`` evaluates
-    the gate layer and the regularizer over every point. The values equal
-    those of ``_f_many`` on the whole moved batch bit for bit. Points are
-    taken in chunks of ``rows`` with rows * max(kappa n, n m) at most
-    ``FD_CHUNK_ELEMS``, so memory stays O(d * chunk).
+    p once and then on the moved block of each point: the block's level
+    (``distance_threshold`` of its distance from ``_block_parts``), link
+    and squared copy norms are written into copies of p's tables, and
+    ``_objective`` evaluates the gate layer and the regularizer over every
+    point. The threshold is elementwise, so the values equal those of
+    ``_f_many`` on the whole moved batch bit for bit. Points are taken in
+    chunks of ``rows`` with rows * max(kappa n, n m) at most
+    ``FD_CHUNK_ELEMS``, so a chunk's largest table, the (rows, kappa, n)
+    squared norms, stays cache-sized and memory O(d * chunk).
 
     Refuses an h that is lost in rounding, where z + h or z - h equals z
     for some coordinate z: every difference there would read 0.
@@ -638,6 +642,7 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
                          "z + h or z - h equals z for some coordinate z")
     kappa, n, m = inst.kappa, inst.n, inst.m
     diff, dist_sq, _, H = _batch_parts(inst, p.x[None, :], p.y[None, :])
+    lam = distance_threshold(dist_sq, m)
     sq_norms = (diff**2).sum(axis=3)
     blocks = base.reshape(2, kappa, n * m)  # [player, vertex, copy and coordinate]
     k = base.size
@@ -653,15 +658,15 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
         XY = XY.reshape(2, rows.size, 1, n, m)
         b_diff, b_dist_sq, _, b_H = _block_parts(inst, XY[0], XY[1])
         moved = vertex.repeat(2)
-        chunk_dist_sq = dist_sq.repeat(rows.size, axis=1)
-        chunk_dist_sq[moved, rows] = b_dist_sq[0]
+        chunk_lam = lam.repeat(rows.size, axis=1)
+        chunk_lam[moved, rows] = distance_threshold(b_dist_sq[0], m)
         chunk_H = H.repeat(rows.size, axis=1)
         chunk_H[moved, rows] = b_H[0]
         chunk_sq_norms = sq_norms.repeat(rows.size, axis=0)
         chunk_sq_norms[rows, moved] = (b_diff**2).sum(axis=3)[:, 0]
-        vals = _objective(inst, chunk_dist_sq, chunk_H, chunk_sq_norms)
+        vals = _objective(inst, chunk_lam, chunk_H, chunk_sq_norms)
         g[start:start + flat.size] = (vals[0::2] - vals[1::2]) / (2.0 * h)
-        del chunk_dist_sq, chunk_H, chunk_sq_norms  # before the next chunk's copies
+        del chunk_lam, chunk_H, chunk_sq_norms  # before the next chunk's copies
     return g[: inst.d], g[inst.d:]
 
 

@@ -252,10 +252,12 @@ VI1 = {"m": 1, "D": [[0.5]], "c": [0.2], "rho": 0.1}
     (RING3_PC, {**VI1, "m": "1"}, cli.EXIT_PARSE),
     ({**RING3_PC, "nor": [[1, 2.5, 0]]}, VI1, cli.EXIT_PARSE),
     ({**RING3_PC, "purify": [[0, "1", 2]]}, VI1, cli.EXIT_PARSE),
+    (RING3_PC, {**VI1, "rho": 10**400}, cli.EXIT_VALIDATION),
+    (RING3_PC, {**VI1, "D": [[10**400]]}, cli.EXIT_VALIDATION),
 ], ids=["nan-in-D", "nan-in-c", "infinite-rho", "bool-rho", "string-rho", "bool-in-D",
         "string-in-c", "D-not-m-by-m", "kappa-0", "no-kappa-key", "null-kappa",
         "fractional-kappa", "string-kappa", "fractional-m", "string-m",
-        "fractional-vertex", "string-vertex"])
+        "fractional-vertex", "string-vertex", "huge-integer-rho", "huge-integer-in-D"])
 def test_malformed_build_inputs_exit_with_their_code(tmp_path, pc, vi, code):
     pc_path, vi_path = tmp_path / "pc.json", tmp_path / "vi.json"
     pc_path.write_text(json.dumps(pc))
@@ -290,6 +292,8 @@ def test_non_integer_copy_count_is_a_validation_error(workspace, tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("n", True), ("n", "2"), ("epsilon", "0.001"), ("epsilon", True), ("delta", None),
+    *(pytest.param(field, 10**400, id=f"{field}-huge-integer")  # too large for a float
+      for field in ("n", "epsilon", "delta")),
 ])
 def test_non_number_params_are_a_validation_error(workspace, tmp_path, capsys, field, value):
     *_, inst_path, point, _instance = workspace
@@ -340,7 +344,12 @@ def test_point_of_the_wrong_length_is_a_validation_error(workspace, tmp_path, ca
 @pytest.mark.parametrize("blob, message", [
     ({"x": [0.5, float("nan")], "y": [0.5, 0.5]}, "coordinates must be finite"),
     ({"x": [0.5, 0.5], "y": [0.5]}, "x and y must be equal-length vectors"),
-], ids=["nan-coordinate", "unequal-lengths"])
+    ({"x": [0.5, 10**400], "y": [0.5, 0.5]}, "x holds an integer too large for a float"),
+    ({"x": [True, 0.5], "y": [0.5, 0.5]}, "x must hold real numbers only, got a bool"),
+    ({"x": [0.5, 0.5], "y": ["0.5", 0.5]}, "y must hold real numbers only, got a str"),
+    ({"x": [0.5, 0.5], "y": [0.5, None]}, "y must hold real numbers only, got a NoneType"),
+], ids=["nan-coordinate", "unequal-lengths", "huge-integer-coordinate", "bool-coordinate",
+        "string-coordinate", "null-coordinate"])
 def test_malformed_point_file_is_a_validation_error(workspace, tmp_path, capsys, blob, message):
     *_, inst, _point, _instance = workspace
     bad = tmp_path / "bad_point.json"

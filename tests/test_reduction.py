@@ -314,7 +314,8 @@ def test_finite_diff_refuses_a_step_that_is_not_finite_and_positive(shape_instan
 
 
 def test_finite_diff_memory_is_bounded():
-    # d = 1024: the unchunked (4d, 2d) batch and its temporaries need ~170 MB
+    # d = 1024: the unchunked (4d, 2d) batch and its temporaries need ~170 MB;
+    # chunks of 2^18 table elements (2 MiB) peak at ~3.8 MB
     inst = build_instance(gen_example("purify_tree", 64, 1), gen_random(2, 2),
                           GdaParams(n=8, epsilon=1e-3, delta=0.25))
     p = random_point(inst, np.random.default_rng(0))
@@ -324,7 +325,7 @@ def test_finite_diff_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 8e6
 
 
 def test_grid_chunk_gradient_memory_is_bounded():
@@ -584,6 +585,7 @@ def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
 @example(pc=TANGLED, m=1, n=4, seed=0)
 @example(pc=TANGLED, m=2, n=1, seed=1)
 @example(pc=gen_example("purify_tree", 9, 3), m=3, n=1, seed=2)
+@example(pc=PureCircuitInstance(1), m=2, n=3, seed=3)  # no gate term to sum
 def test_finite_diff_matches_one_batch_on_loose_circuits(pc, m, n, seed):
     inst = build_instance(pc, gen_random(m, seed % 97), GdaParams(n=n, epsilon=1e-3, delta=0.5),
                           validate=False)
