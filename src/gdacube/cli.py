@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,74 @@ _EPILOG = (
 )
 
 
+# The stdlib C encoder, whose one-line output the writer below re-indents;
+# ``json.dumps`` with ``indent`` would run the pure-Python encoder per leaf.
+_encode = json.JSONEncoder(sort_keys=True).encode
+_NUMBERS = frozenset({float, int, bool, type(None), np.float64})
+_LISTS = frozenset({list, tuple})
+_SCALARS = _NUMBERS | {str}
+
+
+def _depth(v: list | tuple) -> int:
+    """Depth of a non-empty array nested uniformly down to numbers, else 0."""
+    rows, depth = [v], 0
+    while all(rows):  # no empty list at this level
+        depth += 1
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if kinds <= _NUMBERS:
+            return depth
+        if not kinds <= _LISTS:
+            return 0
+        rows = list(chain.from_iterable(rows))
+    return 0
+
+
+def _write(o, out: list, level: int = 0):
+    """Append ``json.dumps(o, indent=2, sort_keys=True)`` to ``out`` in pieces."""
+    if not (isinstance(o, (dict, list, tuple)) and o):
+        out.append(_encode(o))  # a scalar, a string, {} or []
+        return
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(o, dict):
+        sep = "{" + pad
+        for k, v in sorted(o.items()):  # the stdlib sorts, and fails, the same way
+            if not isinstance(k, str):  # converted as the stdlib converts keys
+                if not (isinstance(k, (int, float)) or k is None):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(k).__name__}")
+                k = _encode(k)
+            out += sep, _encode(k), ": "
+            _write(v, out, level + 1)
+            sep = "," + pad
+        out.append(pad[:-2] + "}")
+    elif depth := _depth(o):
+        # One C call writes the array on one line. The items of a list j
+        # levels below ``o`` are separated by depth-1-j brackets each side
+        # of ", ", so the longest separators are replaced first; numbers
+        # hold none of these characters.
+        opens = ["[" + pad + "  " * j for j in range(depth)]
+        closes = [pad[:-2] + "  " * j + "]" for j in range(depth)]
+        s = _encode(o)[depth:-depth]
+        for j in range(depth):
+            k = depth - 1 - j
+            s = s.replace("]" * k + ", " + "[" * k, "".join(closes[:j:-1]) + ","
+                          + pad + "  " * j + "".join(opens[j + 1:]))
+        out += *opens, s, *closes[::-1]
+    elif set(map(type, o)) <= _SCALARS:
+        out += "[", pad, ("," + pad).join(map(_encode, o)), pad[:-2], "]"
+    else:
+        sep = "[" + pad
+        for v in o:
+            out.append(sep)
+            _write(v, out, level + 1)
+            sep = "," + pad
+        out.append(pad[:-2] + "]")
+
+
 def _dump(d: dict, path: str | None):
-    blob = json.dumps(d, indent=2, sort_keys=True) + "\n"
+    out = []
+    _write(d, out)
+    blob = "".join(out) + "\n"
     if path is None:
         sys.stdout.write(blob)
     else:
@@ -68,6 +135,8 @@ def _load(path: str) -> dict:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise _ParseFailure(f"{path}: {e.msg} at line {e.lineno} column {e.colno}") from e
+    except ValueError as e:  # not UTF-8, or an integer past the digit limit
+        raise _ParseFailure(f"{path}: {e}") from e
 
 
 class _ParseFailure(Exception):

@@ -343,17 +343,14 @@ def build_instance(pc: PureCircuitInstance, vi: LinVIInstance, params: GdaParams
     """Materialize the compiled instance.
 
     Refuses paper-mode parameters and dimensions beyond ``DIM_CAP``
-    (``CapExceededError``). ``validate=False`` skips the circuit checks of
+    (``CapExceededError``) before any per-vertex work, circuit checks
+    included. ``validate=False`` skips the circuit checks of
     ``validate_instance`` but not those of the gate plan: it admits
     vertices without a producing gate (their gate value is 0) and gates
     whose vertices repeat, while a gate vertex outside the circuit or a
     vertex that is the output of two gates still raises
     ``ValidationError``. Unit tests use it for single-gate landscapes.
     """
-    if validate:
-        problems = validate_instance(pc)
-        if problems:
-            raise ValidationError(problems)
     kappa, m = pc.kappa, vi.m
     if params.mode == "paper":
         raise CapExceededError(f"paper-mode parameters are never materialized: "
@@ -362,6 +359,10 @@ def build_instance(pc: PureCircuitInstance, vi: LinVIInstance, params: GdaParams
         raise CapExceededError(
             f"instance dimension kappa*n*m = {kappa}*{params.n}*{m} exceeds cap {DIM_CAP}"
         )
+    if validate:
+        problems = validate_instance(pc)
+        if problems:
+            raise ValidationError(problems)
     n = int(params.n)
     with np.errstate(over="ignore"):  # an overflow is refused below
         M = float(params.delta) * (np.arange(1, n + 1, dtype=float) - n / 2.0)

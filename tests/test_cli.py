@@ -1,5 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,11 @@ from gdacube import cli
 from gdacube.lin_vi import LinVIInstance
 from gdacube.pure_circuit import PureCircuitInstance
 from gdacube.reduction import GdaInstance, JointPoint
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+# a JSON integer past Python's integer-string digit limit, which json.dumps
+# cannot write and json.loads refuses with a ValueError
+OVERLONG = "1" + "0" * 5000
 
 
 def run(*argv):
@@ -209,6 +219,18 @@ def test_malformed_json_is_a_parse_error(tmp_path, capsys):
     assert "line 1" in err and "bad.json" in err
 
 
+@pytest.mark.parametrize("blob", [
+    b'{"x": [0.5, %s], "y": [0.5, 0.5]}' % OVERLONG.encode(),
+    b'{"x": [0.5, 0.5], "y": [0.5, 0.5], "note": "\xff"}',
+], ids=["overlong-integer-coordinate", "not-utf-8"])
+def test_unreadable_point_file_is_a_parse_error(workspace, tmp_path, capsys, blob):
+    *_, inst, _point, _instance = workspace
+    bad = tmp_path / "bad_point.json"
+    bad.write_bytes(blob)
+    assert run("eval", "--instance", inst, "--point", bad) == cli.EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_parse_error(tmp_path):
     assert run("eval", "--instance", tmp_path / "nothere.json",
                "--point", tmp_path / "alsonot.json") == cli.EXIT_PARSE
@@ -232,6 +254,7 @@ def test_instance_files_round_trip(workspace):
 
 RING3_PC = {"kappa": 3, "nor": [[1, 2, 0]], "purify": [[0, 1, 2]]}
 VI1 = {"m": 1, "D": [[0.5]], "c": [0.2], "rho": 0.1}
+OVERLONG_RHO_VI = json.dumps(VI1).replace("0.1", OVERLONG)
 
 
 @pytest.mark.parametrize("pc, vi, code", [
@@ -254,17 +277,40 @@ VI1 = {"m": 1, "D": [[0.5]], "c": [0.2], "rho": 0.1}
     ({**RING3_PC, "purify": [[0, "1", 2]]}, VI1, cli.EXIT_PARSE),
     (RING3_PC, {**VI1, "rho": 10**400}, cli.EXIT_VALIDATION),
     (RING3_PC, {**VI1, "D": [[10**400]]}, cli.EXIT_VALIDATION),
+    (RING3_PC, OVERLONG_RHO_VI, cli.EXIT_PARSE),
 ], ids=["nan-in-D", "nan-in-c", "infinite-rho", "bool-rho", "string-rho", "bool-in-D",
         "string-in-c", "D-not-m-by-m", "kappa-0", "no-kappa-key", "null-kappa",
         "fractional-kappa", "string-kappa", "fractional-m", "string-m",
-        "fractional-vertex", "string-vertex", "huge-integer-rho", "huge-integer-in-D"])
+        "fractional-vertex", "string-vertex", "huge-integer-rho", "huge-integer-in-D",
+        "overlong-integer-rho"])
 def test_malformed_build_inputs_exit_with_their_code(tmp_path, pc, vi, code):
     pc_path, vi_path = tmp_path / "pc.json", tmp_path / "vi.json"
     pc_path.write_text(json.dumps(pc))
-    vi_path.write_text(json.dumps(vi))
+    vi_path.write_text(vi if isinstance(vi, str) else json.dumps(vi))
     assert run("build", "--pc", pc_path, "--vi", vi_path, "--n", 2, "--epsilon", 1e-3,
                "--delta", 0.5, "--out", tmp_path / "inst.json") == code
     assert not (tmp_path / "inst.json").exists()
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+
+
+def test_huge_kappa_is_refused_before_any_per_vertex_work(tmp_path):
+    # in a child process capped at 2 GB, so that a regression fails with a
+    # MemoryError there instead of taking this process's memory
+    pc, vi = tmp_path / "pc.json", tmp_path / "vi.json"
+    pc.write_text(json.dumps({"kappa": 10**12, "nor": [], "purify": []}))
+    vi.write_text(json.dumps(VI1))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    for flags in (["--n", "2", "--epsilon", "1e-3", "--delta", "0.5"], ["--paper"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gdacube.cli", "build", "--pc", str(pc), "--vi", str(vi),
+             *flags], env=env, preexec_fn=_limit_address_space, capture_output=True,
+            text=True, timeout=120, check=False)
+        assert proc.returncode == cli.EXIT_CAP, proc.stderr
+        assert "cap exceeded" in proc.stderr
 
 
 def test_custom_build_without_n_is_a_parse_error(workspace, capsys):
