@@ -40,7 +40,8 @@ from .reduction import (
     finite_diff_grad,
     paper_params,
 )
-from .solver import SolverConfig, SolverResult, extragradient, grid_search, projected_gda
+from .solver import (SolverConfig, SolverResult, check_stationary, extragradient, grid_search,
+                     projected_gda)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -279,7 +280,7 @@ def cmd_solve(args) -> int:
 def cmd_decode(args) -> int:
     inst = _load_as(GdaInstance, args.instance)
     p = _load_as(JointPoint, args.point)
-    out = decode(inst, p, rho=args.rho)
+    out = decode(inst, check_stationary(inst, p, 0.0), rho=args.rho)
     _dump(out.to_json_dict(), args.out)
     print(f"decode outcome: {out.kind}")
     return EXIT_OK
@@ -301,7 +302,7 @@ def cmd_audit(args) -> int:
     inst = _load_as(GdaInstance, args.instance)
     p = _load_as(JointPoint, args.point)
     _check_eps(args.eps)
-    audit = lemma_audit(inst, p, args.eps, rho=args.rho)
+    audit = lemma_audit(inst, check_stationary(inst, p, args.eps), args.eps, rho=args.rho)
     block, code = _verdict(audit)
     _dump({"lemmas": audit.to_json_dict(), **block}, args.out)
     return code
@@ -321,11 +322,10 @@ def cmd_pipeline(args) -> int:
     result = _run_solver(inst, args, p0_seed)
     t_solve = time.perf_counter()
 
-    point = result.point
-    outcome = decode(inst, point)
+    outcome = decode(inst, result.report)
     t_decode = time.perf_counter()
     achieved = result.report.max_violation
-    audit = lemma_audit(inst, point, achieved)
+    audit = lemma_audit(inst, result.report, achieved)
     verdict, code = _verdict(audit)
     t_done = time.perf_counter()
 
@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-pc", help="generate a circuit instance")
     p.add_argument("--kind", choices=["ring", "purify_tree"], default="ring")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seeds purify_tree; a ring ignores it")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen_pc)
 

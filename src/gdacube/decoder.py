@@ -1,12 +1,15 @@
 """Map solved points back to witnesses, and audit the inequalities behind that map.
 
-Decoding runs in two phases. Phase 1 scans the per-vertex copies x_i^q in
-ascending (q, i) order and returns the first one accepted by the LinVI
-check, whose slack rule ``lin_vi.operator_slacks`` owns. Phase 2
-thresholds every squared block distance into {0, 1, bot} and verifies the
-resulting circuit assignment; when verification fails the outcome is an
-explicit Inconclusive record rather than a forced branch, because at
-desk-scale parameters neither branch is guaranteed.
+Both read only the point's record from ``solver.check_stationary``: its
+violations, vertex diagnostics and every copy's worst LinVI slack. Decoding
+runs in two phases. Phase 1 takes the copies x_i^q in ascending (q, i) order
+and returns the first one accepted by the LinVI check. Phase 2 thresholds
+every squared block distance into {0, 1, bot} and verifies the resulting
+circuit assignment; when verification fails the outcome is an explicit
+Inconclusive record rather than a forced branch, because at desk-scale
+parameters neither branch is guaranteed. With n <= 3 every distance is at
+most n*m <= 3m and every level reads 0, so with a NOR gate the ``pc``
+outcome and the consistency branch are false everywhere: use n >= 4.
 
 The audit evaluates, at any certified eps-stationary point, the chain of
 inequalities that make the decoding sound at hardness-scale parameters:
@@ -22,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lin_vi import SlackReport, check_solution, operator_slacks, resolve_rho
+from .lin_vi import SlackReport, check_solution, resolve_rho
 from .pure_circuit import Assignment, GateViolation, Trit, verify_assignment
-from .reduction import GdaInstance, JointPoint, _check_point, diagnostics
-from .solver import check_stationary
+from .reduction import GdaInstance, diagnostics  # unused, kept for bench/tracing.py
+from .solver import StationarityReport, check_stationary  # check_stationary: likewise
 
 __all__ = [
     "NotStationaryError",
@@ -97,32 +100,24 @@ def _violation_dict(v: GateViolation) -> dict:
     return {"kind": v.kind, "index": v.index, "gate": list(v.gate), "reason": v.reason}
 
 
-def _scan(inst: GdaInstance, p: JointPoint, rho: float):
-    """Worst LinVI slack of every copy x_i^q, flat in scan order (q, then i),
-    and the mask of the copies that pass (worst >= -rho)."""
-    _, slacks = operator_slacks(inst.vi, p.x.reshape(inst.kappa * inst.n, inst.m))
-    worst = slacks.min(axis=1)
-    return worst, worst >= -rho
-
-
-def decode(inst: GdaInstance, p: JointPoint, rho: float | None = None):
+def decode(inst: GdaInstance, ev: StationarityReport, rho: float | None = None):
     """LinVI witness, verified circuit assignment, or an Inconclusive record.
 
-    The witness is the first copy, in ascending (q, i), that passes the
-    LinVI check, with its ``check_solution`` report. Without one, the
-    vertex levels are read as a circuit assignment; if that fails to
-    verify, Inconclusive names the nearest miss of the scan.
+    Reads the record ``ev``. The witness is the first copy, in ascending
+    (q, i), that passes the LinVI check, with its ``check_solution`` report.
+    Without one, the vertex levels are read as a circuit assignment; if
+    that fails to verify, Inconclusive names the nearest miss.
     """
-    _check_point(inst, p)
     rho = resolve_rho(inst.vi, rho)
-    worst, passed = _scan(inst, p, rho)
+    worst = ev.copy_slacks
+    passed = worst >= -rho
     if passed.any():
         k = int(passed.argmax())
         q, i, _ = inst.unindex(k * inst.m)
-        z = p.x[k * inst.m:(k + 1) * inst.m].copy()
+        z = ev.point.x[k * inst.m:(k + 1) * inst.m].copy()
         return LinViWitness(q=q, i=i, z=z, report=check_solution(inst.vi, z, rho))
     levels = {0.0: Trit.ZERO, 1.0: Trit.ONE}
-    b = Assignment(tuple(levels.get(level, Trit.BOT) for level in diagnostics(inst, p).bit))
+    b = Assignment(tuple(levels.get(level, Trit.BOT) for level in ev.diagnostics.bit))
     violations = tuple(verify_assignment(inst.pc, b))
     if not violations:
         return PcAssignment(assignment=b, violations=violations)
@@ -179,26 +174,25 @@ class LemmaAudit:
         }
 
 
-def lemma_audit(inst: GdaInstance, p: JointPoint, eps: float,
+def lemma_audit(inst: GdaInstance, ev: StationarityReport, eps: float,
                 rho: float | None = None) -> LemmaAudit:
     """Evaluate every decoding inequality at a certified eps-stationary point.
 
-    Raises NotStationaryError unless ``check_stationary`` passes at eps.
-    One stationarity check, one ``diagnostics`` call and one LinVI scan
-    feed every section and both dichotomy branches.
+    Reads only the point's record ``ev``: its violations, diagnostics and
+    copy slacks feed every section and both dichotomy branches. Raises
+    NotStationaryError unless its max violation is at most eps.
     """
-    rep = check_stationary(inst, p, eps)
-    if not rep.passed:
+    if not ev.max_violation <= eps:
         raise NotStationaryError(
-            f"max violation {rep.max_violation} exceeds eps {eps}; the audited "
+            f"max violation {ev.max_violation} exceeds eps {eps}; the audited "
             "inequalities only quantify over stationary points"
         )
     rho = resolve_rho(inst.vi, rho)
-    _, passed = _scan(inst, p, rho)
-    diag = diagnostics(inst, p)
+    passed = ev.copy_slacks >= -rho
+    diag = ev.diagnostics
     kappa, n, m = inst.kappa, inst.n, inst.m
     delta = inst.delta
-    diff = np.abs(p.x - p.y).reshape(kappa, n, m)
+    diff = np.abs(ev.point.x - ev.point.y).reshape(kappa, n, m)
     denom = np.abs(inst.M[None, :] + diag.noise[:, None])  # (kappa, n)
     active = denom != 0.0
 

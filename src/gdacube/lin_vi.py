@@ -5,8 +5,8 @@ A point z in [0,1]^m is accepted when every componentwise slack
 (Dz+c)_j (z'_j - z_j) stays above -rho for all feasible z'_j; since the
 slack is affine in z'_j its worst case sits at an endpoint, so only
 z'_j in {0, 1} is ever evaluated. ``operator_slacks`` owns that rule:
-``check_solution``, ``brute_force_solve`` and the decoder's copy scan
-all read their slacks from it.
+``check_solution``, ``brute_force_solve`` and the copy slacks of
+``solver.check_stationary`` all read their slacks from it.
 """
 
 from __future__ import annotations

@@ -169,8 +169,9 @@ def gen_example(kind: str, size: int, seed: int) -> PureCircuitInstance:
     """Deterministically generate a valid instance.
 
     ``ring``: one PURIFY fan-out followed by a chain of NOR gates that
-    closes back on vertex 0. ``purify_tree``: a binary PURIFY tree with
-    leftover vertices produced by NOR gates over seeded leaf pairs.
+    closes back on vertex 0; it ignores ``seed``, so every seed gives the
+    same ring. ``purify_tree``: a binary PURIFY tree with leftover vertices
+    produced by NOR gates over seeded leaf pairs.
     """
     if size < 3:
         raise ValueError("need at least 3 vertices")

@@ -15,14 +15,16 @@ The logical level of a vertex is distance_threshold(||x^q - y^q||^2, m),
 and the link value is H_q = sum_i <D x_i^q + c, y_i^q - x_i^q>.
 
 ``build_instance`` compiles the circuit once into a gather plan
-(:class:`GateTables`). The objective, the gradient and ``diagnostics``
-share one forward path: ``_block_parts`` computes distances and links
-for a stack of vertex blocks (``_batch_parts`` for all kappa blocks of a
-(B, d) batch), and the levels and gate terms are then evaluated over
-whole tables with three gate calls in all: the distance threshold, NOR,
-and PURIFY on its +1/4 and -1/4 arguments at once. The gradient takes
-value and slope from each call; the objective (``_objective``) takes the
-levels and the value of the other two calls.
+(:class:`GateTables`). The objective and the gradient share one forward
+path: ``_block_parts`` computes distances and links for a stack of vertex
+blocks (``_batch_parts`` for all kappa blocks of a (B, d) batch), and the
+levels and gate terms are then evaluated over whole tables with three
+gate calls in all: the distance threshold, NOR, and PURIFY on its +1/4 and
+-1/4 arguments at once. The gradient (``_grad_many``) takes value and
+slope from each call and also returns its per-vertex tables, so
+``eval_grad``, ``diagnostics`` and ``solver.check_stationary`` are views
+of one pass; the objective (``_objective``) takes the levels and the value
+of the other two calls.
 
 Every per-vertex and per-gate table of that path is vertex-major, a
 (rows, B) array with one row per vertex or gate term, so each lookup in
@@ -32,16 +34,13 @@ batch-major. Sums run in gate order, the noise feedback and the
 objective's gate terms each as one ordered ``np.bincount`` scatter-add
 from +0.0, so results equal those of a gate-by-gate loop bit for bit.
 
-Gradients are available through two independent routes: ``eval_grad``
-aggregates per-vertex gate values and noise terms first, while
-``eval_grad_direct`` accumulates the expanded chain-rule contribution of
-every gate, one gate at a time and without the tables. Both must agree to
-floating-point accuracy; tests and the CLI grad-check enforce this
-against central finite differences of the objective (``finite_diff_grad``)
-as well. That oracle re-evaluates and re-thresholds only the perturbed
-vertex block of each moved point and reuses ``_objective`` for the rest,
-in chunks sized to stay in cache, so it shares the objective's forward
-path but no gradient formula.
+``eval_grad_direct`` is an independent second route to the gradient: it
+accumulates the expanded chain rule gate by gate, without the tables. Tests
+and the CLI grad-check hold both routes to central finite differences of
+the objective (``finite_diff_grad``), which re-evaluate and re-threshold
+only the perturbed vertex block of each moved point and reuse
+``_objective`` for the rest, in cache-sized chunks: the objective's
+forward path, but no gradient formula.
 """
 
 from __future__ import annotations
@@ -530,22 +529,33 @@ def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _grad_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
+    """Gradients GX, GY of a (B, d) batch and the vertex tables of the same
+    pass: gate values, noise, links, squared distances and levels as
+    (kappa, B) tables, and the (B, kappa, n, m) differences x - y."""
     diff, dist_sq, dx_c, H = _batch_parts(inst, X, Y)
     lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
-    del dist_sq  # freeing each (kappa, B) table early lowers a grid chunk's peak memory
     s, noise = _node_aggregates(inst, lam, lam_p, H)
-    del lam, lam_p, H
-    dt_yx = _blocks_times(-diff, inst.vi.D)
+    del lam_p
+    # D^T (y - x) with the bits of -diff @ D, but no (B, d) copy of -diff
+    dt_yx = _blocks_times(diff, np.negative(inst.vi.D))
     # the 2 (M_i + noise_q) (x - y) term of both players
     reg = 2.0 * (inst.M[None, None, :, None] + noise.T[:, :, None, None]) * diff
     s4 = s.T[:, :, None, None]
-    B = X.shape[0]
     dt_yx -= dx_c
     GX = np.multiply(s4, dt_yx, out=dt_yx)
     GX += reg
-    GY = s4 * dx_c
+    GY = np.multiply(s4, dx_c, out=dx_c)
     GY -= reg
-    return GX.reshape(B, inst.d), GY.reshape(B, inst.d)
+    return GX.reshape(-1, inst.d), GY.reshape(-1, inst.d), (s, noise, H, dist_sq, lam, diff)
+
+
+def _evaluate(inst: GdaInstance, p: JointPoint):
+    """Gradient and :class:`NodeDiagnostics` of p from one batch-1 pass."""
+    _check_point(inst, p)
+    GX, GY, (s, noise, H, dist_sq, lam, diff) = _grad_many(inst, p.x[None, :], p.y[None, :])
+    l1 = np.abs(diff[0]).sum(axis=(1, 2))
+    return GX[0], GY[0], NodeDiagnostics(s[:, 0], noise[:, 0], H[:, 0], dist_sq[:, 0], l1,
+                                         lam[:, 0])
 
 
 def eval_f(inst: GdaInstance, p: JointPoint) -> float:
@@ -560,9 +570,7 @@ def eval_grad(inst: GdaInstance, p: JointPoint) -> tuple[np.ndarray, np.ndarray]
     gx = s_q * [(D^T (y_i^q - x_i^q))_j - (D x_i^q + c)_j] + 2 (M_i + noise_q) (x - y)
     gy = s_q * (D x_i^q + c)_j - 2 (M_i + noise_q) (x - y)
     """
-    _check_point(inst, p)
-    GX, GY = _grad_many(inst, p.x[None, :], p.y[None, :])
-    return GX[0], GY[0]
+    return _evaluate(inst, p)[:2]
 
 
 def eval_grad_direct(inst: GdaInstance, p: JointPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -672,15 +680,6 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
 
 
 def diagnostics(inst: GdaInstance, p: JointPoint) -> NodeDiagnostics:
-    """Per-vertex gate value, noise, link and distance summary.
-
-    The same forward pass as the gradient at batch size 1. A vertex
-    without a producing gate reads a gate value of 0.
-    """
-    _check_point(inst, p)
-    diff, dist_sq, _, H = _batch_parts(inst, p.x[None, :], p.y[None, :])
-    lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
-    s, noise = _node_aggregates(inst, lam, lam_p, H)
-    return NodeDiagnostics(gate_value=s[:, 0], noise=noise[:, 0], link=H[:, 0],
-                           dist_sq=dist_sq[:, 0], dist_l1=np.abs(diff[0]).sum(axis=(1, 2)),
-                           bit=lam[:, 0])
+    """Per-vertex gate value, noise, link and distance summary from the
+    gradient pass at batch size 1; a vertex without a producing gate reads 0."""
+    return _evaluate(inst, p)[2]

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduction import CapExceededError, GdaInstance, JointPoint, _check_point, _grad_many
+from .lin_vi import operator_slacks
+from .reduction import (CapExceededError, GdaInstance, JointPoint, NodeDiagnostics,
+                        _check_point, _evaluate, _grad_many)
 
 __all__ = [
     "StationarityReport",
@@ -34,12 +36,15 @@ DEFAULT_EVAL_CAP = 10**7
 
 
 @dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport:  # the one evaluation of a point, see check_stationary
+    point: JointPoint
     violations_x: np.ndarray
     violations_y: np.ndarray
     max_violation: float
     epsilon: float
     passed: bool
+    diagnostics: NodeDiagnostics
+    copy_slacks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverResult:
-    point: JointPoint
-    report: StationarityReport
+    report: StationarityReport  # at the best point, which it holds
     trace: tuple[tuple[int, float], ...]  # (cumulative iterations, best violation)
     iterations: int
     method: str
@@ -82,7 +86,7 @@ class SolverResult:
             "method": self.method,
             "iterations": self.iterations,
             "seed": self.seed,
-            "point": self.point.to_json_dict(),
+            "point": self.report.point.to_json_dict(),
             "trace": [list(t) for t in self.trace],
         }
 
@@ -94,7 +98,7 @@ def _field(inst: GdaInstance, Z: np.ndarray) -> np.ndarray:
     negation is exact, sign of zero included, so a step or a violation
     read off the field has the bits of the per-player formulas.
     """
-    GX, GY = _grad_many(inst, Z[:, :inst.d], Z[:, inst.d:])
+    GX, GY, _ = _grad_many(inst, Z[:, :inst.d], Z[:, inst.d:])
     return np.concatenate((GX, np.negative(GY)), axis=1)
 
 
@@ -114,14 +118,16 @@ def _violations(z, f):
 
 
 def check_stationary(inst: GdaInstance, p: JointPoint, eps: float) -> StationarityReport:
-    """Per-coordinate endpoint violations for both players against eps."""
-    _check_point(inst, p)
+    """The one evaluation of p that decoding and the audit read: both players'
+    endpoint violations against eps, that pass's diagnostics, copy slacks."""
+    gx, gy, nodes = _evaluate(inst, p)
     z = np.concatenate((p.x, p.y))
-    v = _violations(z, _field(inst, z[None, :])[0])
+    v = _violations(z, np.concatenate((gx, np.negative(gy))))
     worst = float(v.max())
-    return StationarityReport(violations_x=v[:inst.d], violations_y=v[inst.d:],
-                              max_violation=worst, epsilon=float(eps),
-                              passed=bool(worst <= eps))
+    _, slacks = operator_slacks(inst.vi, p.x.reshape(inst.kappa * inst.n, inst.m))
+    return StationarityReport(point=p, violations_x=v[:inst.d], violations_y=v[inst.d:],
+                              max_violation=worst, epsilon=float(eps), passed=bool(worst <= eps),
+                              diagnostics=nodes, copy_slacks=slacks.min(axis=1))
 
 
 def _row_violations(Z, F) -> np.ndarray:
@@ -271,11 +277,9 @@ def _drive(inst: GdaInstance, p0: JointPoint, cfg: SolverConfig, extrapolate: bo
         if g.stop is not None:
             break
     trace.append((total, best_v))
-    point = JointPoint(best_z[:d], best_z[d:])
-    report = check_stationary(inst, point, cfg.target)
-    method = "extragradient" if extrapolate else "gda"
-    return SolverResult(point=point, report=report, trace=tuple(trace),
-                        iterations=total, method=method, seed=cfg.seed)
+    report = check_stationary(inst, JointPoint(best_z[:d], best_z[d:]), cfg.target)
+    return SolverResult(report=report, trace=tuple(trace), iterations=total,
+                        method="extragradient" if extrapolate else "gda", seed=cfg.seed)
 
 
 def projected_gda(inst: GdaInstance, p0: JointPoint, cfg: SolverConfig) -> SolverResult:
@@ -334,6 +338,5 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None) -> Solver
     digits = (best_idx // divisors) % (k + 1)
     P = vals[digits]
     point = JointPoint(P[: inst.d], P[inst.d:])
-    report = check_stationary(inst, point, best_v if eps is None else eps)
-    return SolverResult(point=point, report=report, trace=((0, best_v),),
-                        iterations=0, method="grid", seed=None)
+    return SolverResult(report=check_stationary(inst, point, best_v if eps is None else eps),
+                        trace=((0, best_v),), iterations=0, method="grid", seed=None)

@@ -38,7 +38,7 @@ from gdacube.reduction import (
 )
 from gdacube.reduction import _batch_parts, _grad_many, _node_aggregates
 from gdacube.solver import SolverConfig, extragradient, grid_search
-from test_decoder import PUSHY_VI, place
+from test_decoder import PUSHY_VI, place, record
 
 ALL_SHAPES = ["ring3-m1-n1", "ring3-m2-n4", "tree6-m2-n8"]
 
@@ -140,7 +140,7 @@ def test_criterion_3_structural_identities():
         inst = make_instance(name)
         X = rng.uniform(0, 1, (334, inst.d))
         Y = rng.uniform(0, 1, (334, inst.d))
-        GX, GY = _grad_many(inst, X, Y)
+        GX, GY, _ = _grad_many(inst, X, Y)
         diff, dist_sq, _, H = _batch_parts(inst, X, Y)
         lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
         s, _ = _node_aggregates(inst, lam, lam_p, H)
@@ -183,21 +183,21 @@ def _certified_points():
     inst = make_instance("ring3-m1-n1")
     for h in (0.5, 0.25, 0.125):
         res = grid_search(inst, h)
-        out.append(("ring3-m1-n1 grid h=%s" % h, inst, res.point, res.report.max_violation))
+        out.append(("ring3-m1-n1 grid h=%s" % h, inst, res.report))
     for name in ("ring3-m2-n4", "tree6-m2-n8"):
         inst = make_instance(name)
         rng = np.random.default_rng(17)
         p0 = JointPoint(rng.uniform(0, 1, inst.d), rng.uniform(0, 1, inst.d))
         res = extragradient(inst, p0, SolverConfig(step=0.05, max_iters=4000,
                                                    restarts=2, seed=3))
-        out.append((name + " extragradient", inst, res.point, res.report.max_violation))
+        out.append((name + " extragradient", inst, res.report))
     return out
 
 
 def test_criterion_5_lemma_audits():
     checks = []
-    for label, inst, point, eps in _certified_points():
-        audit = lemma_audit(inst, point, eps)
+    for label, inst, ev in _certified_points():
+        audit = lemma_audit(inst, ev, ev.max_violation)
         checks.append((audit.coord_bound["holds"], f"{label}: coordinate bound"))
         checks.append((audit.l1_bound["holds"], f"{label}: l1 bound"))
         checks.append((audit.noise_bound["holds"], f"{label}: noise bound"))
@@ -212,14 +212,14 @@ def test_criterion_6_decoder_unit_suite():
                           GdaParams(n=2, epsilon=1e-3, delta=0.5))
     x = np.ones(inst.d)
     x[inst.index(1, 2, 0)] = 0.0
-    out = decode(inst, JointPoint(x, x.copy()))
+    out = decode(inst, record(inst, JointPoint(x, x.copy())))
     checks.append((isinstance(out, LinViWitness) and (out.q, out.i) == (1, 2),
                    "planted witness missed or misplaced"))
 
     # planted hand-verified ring-3 assignment (bot, 0, bot)
     inst3 = build_instance(gen_example("ring", 3, 0), PUSHY_VI,
                            GdaParams(n=4, epsilon=1e-3, delta=0.5))
-    out = decode(inst3, place(inst3, [3.5, 0.0, 3.5]))
+    out = decode(inst3, record(inst3, place(inst3, [3.5, 0.0, 3.5])))
     checks.append((isinstance(out, PcAssignment)
                    and out.assignment.values == (Trit.BOT, Trit.ZERO, Trit.BOT),
                    "planted ring-3 assignment not recovered"))
@@ -229,14 +229,16 @@ def test_criterion_6_decoder_unit_suite():
                               GdaParams(n=4, epsilon=1e-3, delta=0.5), validate=False)
     p = place(nor_inst, [0.0, 0.0, 4.0])
     ok = (diagnostics(nor_inst, p).gate_value[2] == 1.0
-          and decode(nor_inst, p).assignment.values == (Trit.ZERO, Trit.ZERO, Trit.ONE))
+          and decode(nor_inst, record(nor_inst, p)).assignment.values
+          == (Trit.ZERO, Trit.ZERO, Trit.ONE))
     checks.append((ok, "NOR case: both inputs 0"))
     p = place(nor_inst, [4.0, 0.0, 0.0])
     ok = (diagnostics(nor_inst, p).gate_value[2] == 0.0
-          and decode(nor_inst, p).assignment.values == (Trit.ONE, Trit.ZERO, Trit.ZERO))
+          and decode(nor_inst, record(nor_inst, p)).assignment.values
+          == (Trit.ONE, Trit.ZERO, Trit.ZERO))
     checks.append((ok, "NOR case: one input high"))
-    ok = all(isinstance(decode(nor_inst, place(nor_inst, [3.5, 0.0, dd])), PcAssignment)
-             for dd in (0.0, 3.5, 4.0))
+    ok = all(isinstance(decode(nor_inst, record(nor_inst, place(nor_inst, [3.5, 0.0, dd]))),
+                        PcAssignment) for dd in (0.0, 3.5, 4.0))
     checks.append((ok, "NOR case: undecided input leaves output free"))
 
     # PURIFY case analyses
@@ -245,12 +247,12 @@ def test_criterion_6_decoder_unit_suite():
     p = place(pur_inst, [4.0, 4.0, 4.0])
     d = diagnostics(pur_inst, p)
     checks.append((d.gate_value[1] == 1.0 and d.gate_value[2] == 1.0
-                   and decode(pur_inst, p).assignment.values == (Trit.ONE,) * 3,
+                   and decode(pur_inst, record(pur_inst, p)).assignment.values == (Trit.ONE,) * 3,
                    "PURIFY case: high input"))
     p = place(pur_inst, [0.0, 0.0, 0.0])
     d = diagnostics(pur_inst, p)
     checks.append((d.gate_value[1] == 0.0 and d.gate_value[2] == 0.0
-                   and decode(pur_inst, p).assignment.values == (Trit.ZERO,) * 3,
+                   and decode(pur_inst, record(pur_inst, p)).assignment.values == (Trit.ZERO,) * 3,
                    "PURIFY case: low input"))
     ok = True
     for dd in (3.2, 3.5, 3.8):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdacube import cli
+from gdacube import cli, reduction, solver
 from gdacube.lin_vi import LinVIInstance
 from gdacube.pure_circuit import PureCircuitInstance
 from gdacube.reduction import GdaInstance, JointPoint
@@ -158,6 +158,41 @@ def test_pipeline_reports_are_byte_identical(tmp_path, solver_flags, code):
     assert report["config"]["seed"] == 7
     assert "timings_sec" not in report
     assert {"instance", "solver", "decode", "audit", "dichotomy"} <= set(report)
+
+
+@pytest.mark.parametrize("method", [
+    pytest.param(["--method", "extragradient"], id="extragradient"),
+    pytest.param(["--method", "gda"], id="gda"),
+    pytest.param(["--method", "grid", "--h", 0.5, "--n", 1], id="grid"),
+])
+def test_pipeline_evaluates_its_final_point_once(tmp_path, monkeypatch, method):
+    # every forward pass runs through _grad_many (the solvers hold their own
+    # binding of it). With two restarts a solver step is a 2-row batch and a
+    # grid tile has many rows, so the one 1-row pass is the final point's
+    # record, made in the solve; decode and the audit make no pass of their own
+    passes, phase = [], ["solve"]
+    grad_many = reduction._grad_many
+
+    def counted(inst, X, Y):
+        passes.append((phase[0], len(X), X[0].tolist()))
+        return grad_many(inst, X, Y)
+
+    monkeypatch.setattr(reduction, "_grad_many", counted)
+    monkeypatch.setattr(solver, "_grad_many", counted)
+    for name in ("decode", "lemma_audit"):
+        def within(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            phase[0] = _name
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                phase[0] = "after"
+        monkeypatch.setattr(cli, name, within)
+    out = tmp_path / "r.json"
+    assert run("pipeline", "--seed", 7, "--pc-size", 4, "--iters", 30, "--restarts", 2,
+               *method, "--no-timings", "--out", out) in (cli.EXIT_OK, cli.EXIT_AUDIT)
+    final = json.loads(out.read_text())["solver"]["point"]["x"]
+    assert [(ph, x) for ph, rows, x in passes if rows == 1] == [("solve", final)]
+    assert {ph for ph, _, _ in passes} == {"solve"}
 
 
 def test_audit_exits_6_when_premises_hold_and_both_branches_fail(tmp_path, monkeypatch):

@@ -34,6 +34,11 @@ def build(pc, n=4, delta=0.5, vi=PUSHY_VI, validate=True):
                           validate=validate)
 
 
+def record(inst, p):
+    """The point's one evaluation, the record that decode and lemma_audit read."""
+    return check_stationary(inst, p, 0.0)
+
+
 def place(inst, dists, base=0.5):
     """A point whose block distances ||x^q - y^q||^2 hit the given targets.
 
@@ -63,14 +68,14 @@ def test_planted_witness_found_in_scan_order():
     x = np.ones(inst.d)
     x[inst.index(1, 2, 0)] = 0.0  # plant the solution z = [0] at (q=1, i=2)
     p = JointPoint(x, x.copy())
-    out = decode(inst, p)
+    out = decode(inst, record(inst, p))
     assert isinstance(out, LinViWitness)
     assert (out.q, out.i) == (1, 2)
     assert np.array_equal(out.z, [0.0])
     # scan order is ascending (q, then i): an earlier plant wins
     x2 = x.copy()
     x2[inst.index(1, 1, 0)] = 0.05
-    out2 = decode(inst, JointPoint(x2, x2.copy()))
+    out2 = decode(inst, record(inst, JointPoint(x2, x2.copy())))
     assert (out2.q, out2.i) == (1, 1)
 
 
@@ -79,7 +84,7 @@ def test_diagonal_point_decodes_to_all_zero_assignment():
     pc = PureCircuitInstance(4, purify_gates=((0, 1, 2), (1, 3, 0)))
     inst = build(pc, n=1)
     x = np.full(inst.d, 0.3)
-    out = decode(inst, JointPoint(x, x.copy()))
+    out = decode(inst, record(inst, JointPoint(x, x.copy())))
     assert isinstance(out, PcAssignment)
     assert all(t == Trit.ZERO for t in out.assignment.values)
     assert out.violations == ()
@@ -90,7 +95,7 @@ def test_planted_ring3_satisfying_assignment():
     # vertices 0 and 2 undecided (the 3-ring has no pure solution)
     inst = build(gen_example("ring", 3, 0))
     p = place(inst, [3.5, 0.0, 3.5])
-    out = decode(inst, p)
+    out = decode(inst, record(inst, p))
     assert isinstance(out, PcAssignment)
     assert out.assignment.values == (Trit.BOT, Trit.ZERO, Trit.BOT)
 
@@ -98,7 +103,7 @@ def test_planted_ring3_satisfying_assignment():
 def test_inconclusive_reports_violations_and_nearest_miss():
     inst = build(gen_example("ring", 3, 0), n=1)
     x = np.full(inst.d, 0.3)
-    out = decode(inst, JointPoint(x, x.copy()))
+    out = decode(inst, record(inst, JointPoint(x, x.copy())))
     assert isinstance(out, Inconclusive)
     # all-zero violates the NOR gate (both inputs 0 force output 1)
     assert any(v.kind == "nor" for v in out.violations)
@@ -110,8 +115,8 @@ def test_decode_deterministic():
     inst = make_instance("ring3-m2-n4")
     rng = np.random.default_rng(3)
     p = random_point(inst, rng)
-    a = decode(inst, p)
-    b = decode(inst, p)
+    a = decode(inst, record(inst, p))
+    b = decode(inst, record(inst, p))
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(b.to_json_dict(), sort_keys=True)
 
 
@@ -119,7 +124,7 @@ def test_decode_refuses_a_point_of_the_wrong_length():
     inst = make_instance("ring3-m2-n4")  # d = 3*4*2 = 24
     half = np.zeros(inst.d // 2)
     with pytest.raises(ValueError, match=f"point has dimension 12, instance needs {inst.d}"):
-        decode(inst, JointPoint(half, half))
+        decode(inst, record(inst, JointPoint(half, half)))
 
 
 # --------------------------------------------- gate case analyses, NOR side
@@ -134,7 +139,7 @@ def test_nor_both_inputs_zero_forces_one():
     p = place(inst, [0.0, 0.0, 4.0])
     diag = diagnostics(inst, p)
     assert diag.gate_value[2] == 1.0  # nor_gate(0) = 1
-    out = decode(inst, p)
+    out = decode(inst, record(inst, p))
     assert isinstance(out, PcAssignment)
     assert out.assignment.values == (Trit.ZERO, Trit.ZERO, Trit.ONE)
 
@@ -144,7 +149,7 @@ def test_nor_one_input_high_forces_zero():
     p = place(inst, [4.0, 0.0, 0.0])
     diag = diagnostics(inst, p)
     assert diag.gate_value[2] == 0.0  # nor_gate(1) = 0
-    out = decode(inst, p)
+    out = decode(inst, record(inst, p))
     assert isinstance(out, PcAssignment)
     assert out.assignment.values == (Trit.ONE, Trit.ZERO, Trit.ZERO)
 
@@ -155,14 +160,14 @@ def test_nor_one_input_high_forces_zero():
 def test_nor_undecided_inputs_leave_output_free(out_dist, expected):
     inst = nor_case_instance()
     p = place(inst, [3.5, 0.0, out_dist])
-    out = decode(inst, p)
+    out = decode(inst, record(inst, p))
     assert isinstance(out, PcAssignment)
     assert out.assignment.values[2] == expected
 
 
 def test_pc_outcome_json_reports_a_verified_assignment():
     inst = nor_case_instance()
-    out = decode(inst, place(inst, [3.5, 0.0, 4.0]))
+    out = decode(inst, record(inst, place(inst, [3.5, 0.0, 4.0])))
     assert json.loads(json.dumps(out.to_json_dict())) == {
         "kind": "pc", "assignment": [Trit.BOT.value, Trit.ZERO.value, Trit.ONE.value],
         "verified": True, "violations": []}
@@ -181,7 +186,7 @@ def test_purify_high_input_saturates_both_outputs():
     diag = diagnostics(inst, p)
     assert diag.gate_value[1] == 1.0  # purify_gate(1 + 1/4)
     assert diag.gate_value[2] == 1.0  # purify_gate(1 - 1/4)
-    out = decode(inst, p)
+    out = decode(inst, record(inst, p))
     assert isinstance(out, PcAssignment)
     assert out.assignment.values == (Trit.ONE, Trit.ONE, Trit.ONE)
 
@@ -192,7 +197,7 @@ def test_purify_low_input_zeroes_both_outputs():
     diag = diagnostics(inst, p)
     assert diag.gate_value[1] == 0.0
     assert diag.gate_value[2] == 0.0
-    out = decode(inst, p)
+    out = decode(inst, record(inst, p))
     assert isinstance(out, PcAssignment)
     assert out.assignment.values == (Trit.ZERO, Trit.ZERO, Trit.ZERO)
 
@@ -206,7 +211,7 @@ def test_purify_undecided_input_yields_a_pure_output(in_dist):
     diag = diagnostics(inst, p)
     assert 0.0 < diag.bit[0] < 1.0
     assert diag.gate_value[1] == 1.0 or diag.gate_value[2] == 0.0
-    out = decode(inst, p)
+    out = decode(inst, record(inst, p))
     assert isinstance(out, PcAssignment)
     assert out.assignment.values[0] == Trit.BOT
 
@@ -217,7 +222,7 @@ def test_audit_requires_stationarity():
     inst = make_instance("ring3-m2-n4")
     p = place(inst, [8.0, 0.0, 8.0], base=0.9)
     with pytest.raises(NotStationaryError):
-        lemma_audit(inst, p, eps=1e-12)
+        lemma_audit(inst, record(inst, p), eps=1e-12)
 
 
 def test_audit_at_solver_certified_point():
@@ -225,7 +230,7 @@ def test_audit_at_solver_certified_point():
     p0 = JointPoint(np.full(inst.d, 0.4), np.full(inst.d, 0.6))
     res = extragradient(inst, p0, SolverConfig(step=0.05, max_iters=3000, seed=1))
     eps = res.report.max_violation
-    audit = lemma_audit(inst, res.point, eps)
+    audit = lemma_audit(inst, res.report, eps)
     assert audit.unconditional_hold
     assert audit.coord_bound["holds"] and audit.l1_bound["holds"] and audit.noise_bound["holds"]
     # desk-scale parameters do not satisfy the hardness-scale premises
@@ -239,7 +244,7 @@ def test_audit_consistency_sections_on_synthetic_point():
     p = place(inst, [0.0, 0.0, 0.0, 4.0])
     diag = diagnostics(inst, p)
     assert np.array_equal(diag.gate_value, [0.0, 0.0, 0.0, 1.0])
-    audit = lemma_audit(inst, p, eps=inst.bounds.G)
+    audit = lemma_audit(inst, record(inst, p), eps=inst.bounds.G)
     assert audit.consistency_zero["holds"]
     assert audit.consistency_one["holds"]
 
@@ -247,10 +252,10 @@ def test_audit_consistency_sections_on_synthetic_point():
 def test_dichotomy_consistency_branch():
     inst = build(gen_example("ring", 4, 0))
     p = place(inst, [0.0, 0.0, 0.0, 4.0])
-    rep = dichotomy_check(lemma_audit(inst, p, eps=inst.bounds.G))
+    rep = dichotomy_check(lemma_audit(inst, record(inst, p), eps=inst.bounds.G))
     assert rep.consistency_branch and not rep.linvi_branch
     assert not rep.asserted  # desk-scale premises are false: observational only
-    out = decode(inst, p)
+    out = decode(inst, record(inst, p))
     assert isinstance(out, PcAssignment)
     assert out.assignment.values == (Trit.ZERO, Trit.ZERO, Trit.ZERO, Trit.ONE)
 
@@ -260,7 +265,7 @@ def test_dichotomy_linvi_branch():
     x = np.ones(inst.d)
     x[inst.index(0, 1, 0)] = 0.0
     p = JointPoint(x, x.copy())
-    rep = dichotomy_check(lemma_audit(inst, p, eps=inst.bounds.G))
+    rep = dichotomy_check(lemma_audit(inst, record(inst, p), eps=inst.bounds.G))
     assert rep.linvi_branch and rep.witness == (0, 1)
 
 
@@ -268,7 +273,8 @@ def test_dichotomy_never_raises_without_premises():
     # inconsistent point, no witness, desk parameters: report, no assertion
     inst = build(gen_example("ring", 3, 0), n=1)
     x = np.full(inst.d, 0.3)
-    rep = dichotomy_check(lemma_audit(inst, JointPoint(x, x.copy()), eps=inst.bounds.G))
+    audit = lemma_audit(inst, record(inst, JointPoint(x, x.copy())), eps=inst.bounds.G)
+    rep = dichotomy_check(audit)
     assert not rep.linvi_branch and not rep.consistency_branch
     assert not rep.asserted
 
@@ -280,7 +286,7 @@ def all_premises_hold(audit):
 def test_dichotomy_raises_when_premises_hold_and_both_branches_fail():
     inst = build(gen_example("ring", 3, 0), n=1)
     x = np.full(inst.d, 0.3)
-    audit = lemma_audit(inst, JointPoint(x, x.copy()), eps=inst.bounds.G)
+    audit = lemma_audit(inst, record(inst, JointPoint(x, x.copy())), eps=inst.bounds.G)
     assert audit.witness is None and not audit.gates_consistent
     with pytest.raises(AuditError, match="yet all parameter premises hold"):
         dichotomy_check(all_premises_hold(audit))
@@ -288,7 +294,8 @@ def test_dichotomy_raises_when_premises_hold_and_both_branches_fail():
 
 def test_dichotomy_asserted_at_a_consistent_point_when_premises_hold():
     inst = build(gen_example("ring", 4, 0))
-    audit = lemma_audit(inst, place(inst, [0.0, 0.0, 0.0, 4.0]), eps=inst.bounds.G)
+    p = place(inst, [0.0, 0.0, 0.0, 4.0])
+    audit = lemma_audit(inst, record(inst, p), eps=inst.bounds.G)
     rep = dichotomy_check(all_premises_hold(audit))
     assert rep.asserted and rep.consistency_branch and not rep.linvi_branch
 
@@ -296,7 +303,7 @@ def test_dichotomy_asserted_at_a_consistent_point_when_premises_hold():
 def test_find_witness_reports_nearest_miss():
     inst = build(gen_example("ring", 3, 0), n=1)
     x = np.array([0.3, 0.2, 0.5])
-    out = decode(inst, JointPoint(x, x.copy()), rho=0.1)
+    out = decode(inst, record(inst, JointPoint(x, x.copy())), rho=0.1)
     assert isinstance(out, Inconclusive)
     assert (out.best_q, out.best_i, out.best_slack) == (1, 1, pytest.approx(-0.2))
 
@@ -348,13 +355,16 @@ def same_bits(a, b) -> bool:
 
 
 def assert_scan_matches_reference(inst, p, rho=None):
-    """``decode`` and ``lemma_audit`` against the per-copy loop; returns the outcome."""
+    """The record's copy slacks, ``decode`` and ``lemma_audit`` against the
+    per-copy loop; returns the outcome."""
     slacks = reference_slacks(inst, p)
     _, stacked = operator_slacks(inst.vi, p.x.reshape(inst.kappa * inst.n, inst.m))
     assert same_bits(stacked, slacks)  # every row rounds as its own D @ z
     worst = [s.min() for s in slacks]
+    ev = record(inst, p)
+    assert ev.point is p and same_bits(ev.copy_slacks, worst)
     passes = reference_passes(inst, p, rho)
-    out = decode(inst, p, rho)
+    out = decode(inst, ev, rho)
     if any(passes):
         k = passes.index(True)
         z = p.x.reshape(-1, inst.m)[k]
@@ -371,8 +381,7 @@ def assert_scan_matches_reference(inst, p, rho=None):
             assert (out.best_q, out.best_i) == (k // inst.n, k % inst.n + 1)
             assert type(out.best_q) is int and type(out.best_slack) is float
             assert same_bits(out.best_slack, worst[k])
-    eps = check_stationary(inst, p, 0.0).max_violation
-    audit = lemma_audit(inst, p, eps, rho)
+    audit = lemma_audit(inst, ev, ev.max_violation, rho)
     assert audit.consistency_one["applicable"] == reference_no_witness(inst, p, rho)
     rep, want = dichotomy_check(audit), reference_dichotomy(inst, p, rho)
     assert rep == want and rep.witness == audit.witness
@@ -464,17 +473,18 @@ def test_dichotomy_sees_a_zero_gate_value_off_level_zero():
     assert diag.gate_value[0] == 0.0 and diag.bit[0] == 1.0
     assert not (diag.gate_value == 1.0).any()
     assert_scan_matches_reference(inst, p)
-    rep = dichotomy_check(lemma_audit(inst, p, eps=inst.bounds.G))
+    rep = dichotomy_check(lemma_audit(inst, record(inst, p), eps=inst.bounds.G))
     assert not rep.consistency_branch and not rep.linvi_branch
 
 
 def test_scan_makes_no_per_copy_calls(monkeypatch):
-    # decode, lemma_audit and dichotomy_check at a point without a witness:
-    # no check_solution call, one diagnostics call in decode and one in the
-    # audit, one stationarity check; dichotomy_check re-evaluates nothing
+    # decode, lemma_audit and dichotomy_check at a point without a witness
+    # read its one record: no check_solution call, and neither diagnostics
+    # nor a stationarity check; dichotomy_check re-evaluates nothing
     inst = build(gen_example("ring", 3, 0), n=2)
     x = np.full(inst.d, 0.3)
     p = JointPoint(x, x.copy())
+    ev = record(inst, p)
     calls = {"check_solution": 0, "diagnostics": 0, "check_stationary": 0}
 
     def counted(name):
@@ -487,13 +497,13 @@ def test_scan_makes_no_per_copy_calls(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(decoder, name, counted(name))
-    assert isinstance(decode(inst, p), Inconclusive)
-    audit = lemma_audit(inst, p, eps=inst.bounds.G)
-    assert calls == {"check_solution": 0, "diagnostics": 2, "check_stationary": 1}
+    assert isinstance(decode(inst, ev), Inconclusive)
+    audit = lemma_audit(inst, ev, eps=inst.bounds.G)
+    assert calls == {"check_solution": 0, "diagnostics": 0, "check_stationary": 0}
     monkeypatch.setattr(decoder, "lemma_audit",
                         lambda *a, **k: pytest.fail("dichotomy_check reran lemma_audit"))
     dichotomy_check(audit)
-    assert calls == {"check_solution": 0, "diagnostics": 2, "check_stationary": 1}
+    assert calls == {"check_solution": 0, "diagnostics": 0, "check_stationary": 0}
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.1, np.inf, -np.inf, np.nan])
@@ -501,6 +511,7 @@ def test_rho_override_must_be_finite_and_positive(rho):
     inst = build(gen_example("ring", 3, 0), n=1)
     x = np.full(inst.d, 0.3)
     p = JointPoint(x, x.copy())
-    for fn in (lambda: decode(inst, p, rho), lambda: lemma_audit(inst, p, inst.bounds.G, rho)):
+    ev = record(inst, p)
+    for fn in (lambda: decode(inst, ev, rho), lambda: lemma_audit(inst, ev, inst.bounds.G, rho)):
         with pytest.raises(ValueError, match="rho must be finite and positive"):
             fn()

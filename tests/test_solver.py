@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -12,6 +13,7 @@ from gdacube.reduction import (
     GdaParams,
     JointPoint,
     build_instance,
+    diagnostics,
     eval_grad,
 )
 from gdacube import solver
@@ -90,7 +92,7 @@ def test_stationary_start_returned_unchanged(solve):
     p0 = JointPoint(np.array([0.5]), np.array([0.5]))
     res = solve(inst, p0, SolverConfig(step=0.1, max_iters=100, target=0.0))
     assert res.iterations == 0
-    assert np.array_equal(res.point.x, p0.x) and np.array_equal(res.point.y, p0.y)
+    assert np.array_equal(res.report.point.x, p0.x) and np.array_equal(res.report.point.y, p0.y)
     assert res.report.max_violation == 0.0 and res.report.passed
 
 
@@ -102,8 +104,8 @@ def test_best_iterate_contract_and_box_safety(solve):
     first = check_stationary(inst, p0, eps=0.0).max_violation
     res = solve(inst, p0, SolverConfig(step=0.3, max_iters=500))
     assert res.report.max_violation <= first
-    assert res.point.x.min() >= 0.0 and res.point.x.max() <= 1.0
-    assert res.point.y.min() >= 0.0 and res.point.y.max() <= 1.0
+    assert res.report.point.x.min() >= 0.0 and res.report.point.x.max() <= 1.0
+    assert res.report.point.y.min() >= 0.0 and res.report.point.y.max() <= 1.0
 
 
 def test_gda_cycles_but_extragradient_converges():
@@ -153,7 +155,7 @@ def _tiled_grid_search(monkeypatch, inst, h, block):
             mp.setattr(solver, "GRID_BLOCK_ELEMS", block)
         mp.setattr(solver, "_field", counted)
         res = grid_search(inst, h)
-    return res, rows[:-1]  # the last field call is the final report's
+    return res, rows  # the final report evaluates its point without the field
 
 
 def test_grid_search_regularizer_toy(monkeypatch):
@@ -162,7 +164,7 @@ def test_grid_search_regularizer_toy(monkeypatch):
     for block, tiles in ((None, 1), (1, 5)):
         res, rows = _tiled_grid_search(monkeypatch, inst, 0.25, block)
         assert rows == [25 // tiles] * tiles
-        p, rep = res.point, res.report
+        p, rep = res.report.point, res.report
         # aligned objectives meet on the diagonal where the gradient vanishes
         assert rep.max_violation <= 2 * 0.25 * 0.25
         assert np.array_equal(p.x, p.y)
@@ -178,7 +180,7 @@ def test_grid_search_returns_a_solver_result(monkeypatch):
     P = np.array(np.meshgrid(*[np.linspace(0.0, 1.0, k)] * (2 * inst.d),
                              indexing="ij")).reshape(2 * inst.d, -1).T
     X, Y = P[:, :inst.d], P[:, inst.d:]
-    vx, vy = _violation_arrays(X, Y, *solver._grad_many(inst, X, Y))
+    vx, vy = _violation_arrays(X, Y, *solver._grad_many(inst, X, Y)[:2])
     v = np.maximum(vx.max(axis=1), vy.max(axis=1))
     b = int(np.argmin(v))
     # 3^6 grid points in tiles of 3^t rows, 3^t * 6 <= block, t >= 1
@@ -189,7 +191,8 @@ def test_grid_search_returns_a_solver_result(monkeypatch):
         assert res.trace == ((0, res.report.max_violation),)
         assert res.report.passed  # eps defaults to the best violation found
         assert res.trace[0][1] == v[b]
-        assert np.array_equal(res.point.x, X[b]) and np.array_equal(res.point.y, Y[b])
+        p = res.report.point
+        assert np.array_equal(p.x, X[b]) and np.array_equal(p.y, Y[b])
 
 
 def _chunked_grid_violations(inst, h):
@@ -232,7 +235,7 @@ def test_grid_tiles_match_the_chunked_sweep(monkeypatch):
         got = np.concatenate(seen)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert res.trace[0][1] == want.min()
-        assert np.array_equal(np.concatenate((res.point.x, res.point.y)), point)
+        assert np.array_equal(np.concatenate((res.report.point.x, res.report.point.y)), point)
 
 
 def test_grid_search_monotone_under_refinement():
@@ -302,6 +305,22 @@ def test_solvers_refuse_a_point_of_the_wrong_dimension(entry):
         calls[entry]()
 
 
+def _assert_record_matches_reference(inst, p, rep):
+    """The record's violations against the per-player formula, bit for bit
+    (zero signs included), and its diagnostics against ``diagnostics``."""
+    gx, gy = eval_grad(inst, p)
+    vx, vy = _violation_arrays(p.x, p.y, gx, gy)
+    field = solver._field(inst, np.concatenate((p.x, p.y))[None, :])[0]
+    for got, want in ((rep.violations_x, vx), (rep.violations_y, vy),
+                      (rep.max_violation, max(vx.max(), vy.max())),
+                      (field, np.concatenate((gx, -gy)))):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    want = diagnostics(inst, p)
+    assert rep.point is p
+    for f in dataclasses.fields(want):
+        assert getattr(rep.diagnostics, f.name).tobytes() == getattr(want, f.name).tobytes()
+
+
 def test_violations_keep_the_sign_of_zero_at_grid_stationary_points():
     # the joint field negates gy, which turns a +0.0 into -0.0; at exact
     # grid-stationary points of ring-4 (h = 1/4, n = m = 1) every violation
@@ -311,18 +330,14 @@ def test_violations_keep_the_sign_of_zero_at_grid_stationary_points():
         inst = build_instance(gen_example("ring", 4, 0), gen_random(1, seed),
                               GdaParams(n=1, epsilon=1e-3, delta=0.5))
         res = grid_search(inst, 0.25)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):  # random points have violations of both signs of f
+            p = random_point(inst, rng)
+            _assert_record_matches_reference(inst, p, check_stationary(inst, p, eps=0.0))
         if res.report.max_violation != 0.0:
             continue
         stationary += 1
-        p = res.point
-        gx, gy = eval_grad(inst, p)
-        vx, vy = _violation_arrays(p.x, p.y, gx, gy)
-        rep = check_stationary(inst, p, eps=0.0)
-        field = solver._field(inst, np.concatenate((p.x, p.y))[None, :])[0]
-        for got, want in ((rep.violations_x, vx), (rep.violations_y, vy),
-                          (rep.max_violation, max(vx.max(), vy.max())),
-                          (field, np.concatenate((gx, -gy)))):
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        _assert_record_matches_reference(inst, res.report.point, res.report)
     assert stationary >= 2
 
 
@@ -340,7 +355,7 @@ def _sequential_drive(inst, p0, cfg, extrapolate):
     total = 0
 
     def grad_at(x, y):
-        GX, GY = solver._grad_many(inst, x[None, :], y[None, :])
+        GX, GY, _ = solver._grad_many(inst, x[None, :], y[None, :])
         return GX[0], GY[0]
 
     def consider(x, y, gx, gy):
@@ -383,7 +398,7 @@ def _sequential_drive(inst, p0, cfg, extrapolate):
             break
     trace.append((total, best_v))
     point = JointPoint(best_x, best_y)
-    return solver.SolverResult(point=point, report=check_stationary(inst, point, cfg.target),
+    return solver.SolverResult(report=check_stationary(inst, point, cfg.target),
                                trace=tuple(trace), iterations=total,
                                method="extragradient" if extrapolate else "gda",
                                seed=cfg.seed)
@@ -481,9 +496,9 @@ def test_batched_restarts_keep_the_first_of_equal_bests():
     cfg = SolverConfig(step=1e6, max_iters=5, restarts=3, seed=1, target=-1.0)
     for start in _restart_starts(inst, p0, cfg.seed, cfg.restarts)[1:]:
         alone = projected_gda(inst, start, SolverConfig(step=1e6, max_iters=5, target=-1.0))
-        assert alone.report.max_violation == 0.0 and alone.point.x[0] in (0.0, 1.0)
+        assert alone.report.max_violation == 0.0 and alone.report.point.x[0] in (0.0, 1.0)
     res = projected_gda(inst, p0, cfg)
-    assert res.point.x[0] == 0.5 and res.point.y[0] == 0.5
+    assert res.report.point.x[0] == 0.5 and res.report.point.y[0] == 0.5
     assert res.iterations == 3 * cfg.max_iters
     _assert_matches_reference(inst, p0, cfg)
 
@@ -498,9 +513,9 @@ def test_batched_restarts_non_finite_rows(shape_instances, monkeypatch):
     grad_many = solver._grad_many
 
     def poisoned(inst, X, Y):
-        GX, GY = grad_many(inst, X, Y)
+        GX, GY, nodes = grad_many(inst, X, Y)
         GX[(X[:, 0] < 0.3) | (X[:, 0] > 0.7)] = np.nan
-        return GX, GY
+        return GX, GY, nodes
 
     monkeypatch.setattr(solver, "_grad_many", poisoned)
     p0 = JointPoint(np.full(inst.d, 0.5), np.full(inst.d, 0.5))
@@ -523,9 +538,9 @@ def test_extragradient_gates_refuse_a_non_finite_gradient(shape_instances, monke
 
     def poisoned(inst, X, Y):
         finite_inputs.append(bool(np.isfinite(X).all() and np.isfinite(Y).all()))
-        GX, GY = grad_many(inst, X, Y)
+        GX, GY, nodes = grad_many(inst, X, Y)
         GX[:, 0] = np.nan
-        return GX, GY
+        return GX, GY, nodes
 
     monkeypatch.setattr(solver, "_grad_many", poisoned)
     p0 = JointPoint(np.full(inst.d, 0.5), np.full(inst.d, 0.5))
