@@ -18,13 +18,17 @@ and the link value is H_q = sum_i <D x_i^q + c, y_i^q - x_i^q>.
 (:class:`GateTables`). The objective and the gradient share one forward
 path: ``_block_parts`` computes distances and links for a stack of vertex
 blocks (``_batch_parts`` for all kappa blocks of a (B, d) batch), and the
-levels and gate terms are then evaluated over whole tables with three
-gate calls in all: the distance threshold, NOR, and PURIFY on its +1/4 and
+levels and gate terms are then evaluated over whole tables with at most
+three gate calls: the distance threshold, NOR, and PURIFY on its +1/4 and
 -1/4 arguments at once. The gradient (``_grad_many``) takes value and
 slope from each call and also returns its per-vertex tables, so
 ``eval_grad``, ``diagnostics`` and ``solver.check_stationary`` are views
 of one pass; the objective (``_objective``) takes the levels and the value
-of the other two calls.
+of the other two calls. When every level of a batch is 0, every gate sits
+on a flat piece, and the gradient makes the threshold call only: it reads
+the gate values from a table computed once at build time and sets the
+noise to +0.0, the exact bits of the general path (see ``_grad_many``).
+The objective and the two oracles below always take the general path.
 
 Every per-vertex and per-gate table of that path is vertex-major, a
 (rows, B) array with one row per vertex or gate term, so each lookup in
@@ -220,6 +224,11 @@ class GateTables:
     Noise terms: one row per NOR gate to u and to v, then one per PURIFY
     gate to u. ``noise_targets`` lists the vertex of each row, and one
     scatter-add over it sums every vertex's terms in gate-loop order.
+
+    ``flat_values`` is the read-only (kappa, 1) table of gate values at
+    all-zero levels, where every gate sits on a flat piece (NOR reads 1,
+    PURIFY 0) with slope 0; the gradient reads it instead of calling the
+    NOR and PURIFY kernels when every level of a batch is 0.
     """
 
     nor_uv: np.ndarray
@@ -227,6 +236,7 @@ class GateTables:
     purify_shift: np.ndarray
     links: np.ndarray
     noise_targets: np.ndarray
+    flat_values: np.ndarray
 
     @property
     def n_nor(self) -> int:
@@ -234,7 +244,8 @@ class GateTables:
 
 
 def _compile_gates(pc: PureCircuitInstance) -> GateTables:
-    """The gather plan for three-gate-call evaluation of ``pc``.
+    """The gather plan for three-gate-call evaluation of ``pc``, and the
+    gate values at all-zero levels from one NOR and one PURIFY call.
 
     Refuses a gate vertex outside the circuit and a vertex that is the
     output of more than one gate, whether or not the circuit was validated.
@@ -251,10 +262,15 @@ def _compile_gates(pc: PureCircuitInstance) -> GateTables:
                                for q in np.flatnonzero(producers > 1)])
 
     nor_uv = nor[:, :2].ravel()
-    return GateTables(
+    tables = GateTables(
         nor_uv=nor_uv, purify_uu=np.repeat(purify[:, 0], 2),
         purify_shift=np.tile([0.25, -0.25], len(purify)), links=links,
-        noise_targets=np.concatenate((nor_uv, purify[:, 0])))
+        noise_targets=np.concatenate((nor_uv, purify[:, 0])),
+        flat_values=np.zeros((pc.kappa, 1)))
+    nor_args, purify_args = _gate_args(tables, np.zeros((pc.kappa, 1)))
+    tables.flat_values[links] = np.concatenate((nor_gate(nor_args), purify_gate(purify_args)))
+    tables.flat_values.setflags(write=False)
+    return tables
 
 
 @dataclass
@@ -531,10 +547,25 @@ def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _grad_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
     """Gradients GX, GY of a (B, d) batch and the vertex tables of the same
     pass: gate values, noise, links, squared distances and levels as
-    (kappa, B) tables, and the (B, kappa, n, m) differences x - y."""
+    (kappa, B) tables, and the (B, kappa, n, m) differences x - y.
+
+    When every level is 0 (every squared distance at most 3m) the gate
+    layer is flat: s is a read-only broadcast of ``GateTables.flat_values``
+    and the noise is +0.0, with no NOR or PURIFY call and no scatter.
+    These are the bits of ``_node_aggregates``, whose gate arguments are
+    then exactly 0 and +-1/4 and whose noise terms 0 * slope * link each
+    read +-0.0, summed from +0.0. Other batches take ``_node_aggregates``.
+    """
     diff, dist_sq, dx_c, H = _batch_parts(inst, X, Y)
     lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
-    s, noise = _node_aggregates(inst, lam, lam_p, H)
+    if np.count_nonzero(lam):
+        s, noise = _node_aggregates(inst, lam, lam_p, H)
+    else:
+        # no finiteness guard on H: LinVIInstance keeps D and c in [-1, 1]
+        # and points lie in the box, so every link is finite, and a NaN
+        # coordinate was refused by the threshold call above
+        s = np.broadcast_to(inst.gates.flat_values, lam.shape)
+        noise = np.zeros_like(lam)
     del lam_p
     # D^T (y - x) with the bits of -diff @ D, but no (B, d) copy of -diff
     dt_yx = _blocks_times(diff, np.negative(inst.vi.D))

@@ -56,6 +56,9 @@ class SolverConfig:
     target: float = 0.0
 
     def __post_init__(self):
+        for name in ("step", "target"):  # a bool would run as 1.0 or 0.0
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step!r}")
         for name in ("max_iters", "restarts", "seed"):
@@ -308,6 +311,8 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None) -> Solver
     The last t coordinates of a tile are one table built once; each tile
     writes only its fixed leading coordinates into the reused buffer.
     """
+    if isinstance(h, bool):  # True would run as a grid with h = 1
+        raise ValueError(f"grid spacing h must be a real number, got {h!r}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid spacing h must be finite and positive, got {h!r}")
     k = round(1.0 / h)

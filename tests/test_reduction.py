@@ -35,7 +35,8 @@ from gdacube.reduction import (
 )
 from gdacube import reduction
 from gdacube.reduction import _batch_parts, _f_many, _grad_many, _node_aggregates
-from gdacube.solver import check_stationary
+from gdacube import solver
+from gdacube.solver import SolverConfig, check_stationary, extragradient, grid_search
 
 RING3 = gen_example("ring", 3, 0)
 
@@ -499,6 +500,20 @@ def loop_diagnostics(inst, p):
     return s[0], noise[0], H, dist_sq, np.abs(diff).sum(axis=(1, 2)), lam
 
 
+def assert_grad_pass_matches_the_loop(inst, X, Y):
+    """``_grad_many``'s gradients and six tables equal those of
+    ``_node_aggregates`` and of the per-gate loop bit for bit; returns the tables."""
+    GX, GY, tables = _grad_many(inst, X, Y)
+    diff, dist_sq, _, H = _batch_parts(inst, X, Y)
+    lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
+    s, noise = _node_aggregates(inst, lam, lam_p, H)
+    loop_s, loop_noise = loop_node_aggregates(inst, dist_sq.T, lam.T, H.T)
+    assert bit_equal(s.T, loop_s) and bit_equal(noise.T, loop_noise)
+    assert all(bit_equal(g, w) for g, w in zip(tables, (s, noise, H, dist_sq, lam, diff)))
+    assert all(bit_equal(g, w) for g, w in zip((GX, GY), assembled_grad(inst, X, Y, s, noise)))
+    return tables
+
+
 def bit_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -529,6 +544,43 @@ def loose_circuits(draw):
     nor = [(draw(vertex), draw(vertex), w)
            for w in outputs[2 * n_purify:2 * n_purify + n_nor]]
     return PureCircuitInstance(kappa, tuple(nor), tuple(purify))
+
+
+def flat_batch(inst, rng, B):
+    """Random rows with every block distance at most 3m, so every level is 0;
+    with n >= 3, one block of row 0 sits exactly at 3m."""
+    X = rng.uniform(0, 1, (B, inst.d))
+    r = min(1.0, 0.99 * np.sqrt(3.0 / inst.n))  # n m r^2 < 3m
+    Y = np.clip(X + rng.uniform(-r, r, X.shape), 0.0, 1.0)
+    if inst.n >= 3:
+        q = rng.integers(inst.kappa)
+        bx, by = X[0].reshape(inst.kappa, -1)[q], Y[0].reshape(inst.kappa, -1)[q]
+        by[:] = bx
+        bx[:3 * inst.m], by[:3 * inst.m] = 1.0, 0.0
+    return X, Y
+
+
+def ramp_row(inst, rng):
+    """One point whose only moved block lies at distance 3m + 0.3^2 (level
+    0.216, inside the ramp); needs n >= 4, so that n m > 3m."""
+    x = rng.uniform(0, 1, inst.d)
+    y = x.copy()
+    q = rng.integers(inst.kappa)
+    bx, by = x.reshape(inst.kappa, -1)[q], y.reshape(inst.kappa, -1)[q]
+    bx[:3 * inst.m + 1] = 1.0
+    by[:3 * inst.m], by[3 * inst.m] = 0.0, 0.7
+    return x, y
+
+
+def assembled_grad(inst, X, Y, s, noise):
+    """Reference: the gradient formula of ``eval_grad`` at (kappa, B) gate
+    values s and noise, with the forward path's operation order."""
+    diff, _, dx_c, _ = _batch_parts(inst, X, Y)
+    reg = 2.0 * (inst.M[None, None, :, None] + noise.T[:, :, None, None]) * diff
+    s4 = s.T[:, :, None, None]
+    GX = s4 * (reduction._blocks_times(diff, np.negative(inst.vi.D)) - dx_c) + reg
+    GY = s4 * dx_c - reg
+    return GX.reshape(-1, inst.d), GY.reshape(-1, inst.d)
 
 
 def batch_near_ramps(inst, rng, B):
@@ -580,6 +632,27 @@ def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
                 got = (diag.gate_value, diag.noise, diag.link, diag.dist_sq, diag.dist_l1,
                        diag.bit)
                 assert all(bit_equal(g, w) for g, w in zip(got, want))
+        # every level 0 (one block exactly at 3m when n >= 3): the gradient
+        # pass reads the flat gate table, with the bits of the general path
+        X, Y = flat_batch(inst, rng, B)
+        flat = assert_grad_pass_matches_the_loop(inst, X, Y)
+        assert not (flat[4].any() or flat[0].flags.writeable)
+        for b in range(B):
+            p = JointPoint(X[b], Y[b])
+            record = check_stationary(inst, p, 0.0).diagnostics
+            got = (record.gate_value, record.noise, record.link, record.dist_sq,
+                   record.dist_l1, record.bit)
+            assert all(bit_equal(g, w) for g, w in zip(got, loop_diagnostics(inst, p)))
+            # a view of the instance's table, which no caller may write into
+            assert not record.gate_value.flags.writeable
+    if n >= 4:
+        # a flat row batched with a row inside the ramp takes the general path
+        x, y = ramp_row(inst, rng)
+        X, Y = np.stack((X[0], x)), np.stack((Y[0], y))
+        mixed = assert_grad_pass_matches_the_loop(inst, X, Y)
+        lam = mixed[4]
+        assert not lam[:, 0].any() and ((lam[:, 1] > 0) & (lam[:, 1] < 1)).any()
+        assert mixed[0].flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -604,6 +677,40 @@ def test_finite_diff_matches_one_batch_on_loose_circuits(pc, m, n, seed):
             assert bit_equal(got, want)
 
 
+def test_flat_passes_make_one_gate_call(monkeypatch):
+    # at n <= 3 a block distance is at most n m <= 3m, so every level is 0
+    # and every gradient pass reads the flat table: its one gate-kernel call
+    # is the threshold, and no NOR or PURIFY kernel runs
+    inst = build_instance(gen_example("ring", 16, 0), gen_random(2, 1),
+                          GdaParams(n=3, epsilon=1e-3, delta=0.5))
+    grid_inst = build_instance(gen_example("ring", 4, 0), gen_random(1, 1),
+                               GdaParams(n=1, epsilon=1e-3, delta=0.5))
+    calls = {"passes": 0, "distance_threshold": 0, "nor_gate": 0, "purify_gate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("distance_threshold", "nor_gate", "purify_gate"):
+        monkeypatch.setattr(reduction, name, counted(name, getattr(reduction, name)))
+    grad_many = counted("passes", _grad_many)
+    monkeypatch.setattr(reduction, "_grad_many", grad_many)
+    monkeypatch.setattr(solver, "_grad_many", grad_many)
+    rng = np.random.default_rng(0)
+    p = random_point(inst, rng)
+    eval_grad(inst, p)
+    diagnostics(inst, p)
+    extragradient(inst, p, SolverConfig(step=0.05, max_iters=5, restarts=3))
+    grid_search(grid_inst, h=0.5)
+    # eval_grad and diagnostics; 5 extragradient iterations of two passes,
+    # the cap's scoring pass and the record; one grid tile and the record
+    assert calls["passes"] == 2 + 12 + 2
+    assert calls["distance_threshold"] == calls["passes"]
+    assert calls["nor_gate"] == calls["purify_gate"] == 0
+
+
 def test_gate_tables_run_in_gate_loop_order():
     tables = build_instance(TANGLED, gen_random(1, 0), GdaParams(n=1, epsilon=1e-3, delta=0.5),
                             validate=False).gates
@@ -616,6 +723,10 @@ def test_gate_tables_run_in_gate_loop_order():
     # noise rows [NOR 0 to u, to v | NOR 1 | NOR 2 | PURIFY 0 to u], each
     # row's target vertex; vertex 0 takes five terms, vertices 1 and 2 one each
     assert tables.noise_targets.tolist() == [0, 0, 0, 1, 0, 2, 0]
+    # gate values at all-zero levels: NOR outputs 1, 0, 3 read 1 and PURIFY
+    # outputs 2, 4 read 0; the gradient's flat passes share this table
+    assert tables.flat_values.tolist() == [[1.0], [1.0], [0.0], [1.0], [0.0]]
+    assert not tables.flat_values.flags.writeable
 
 
 @pytest.mark.parametrize("nor, purify", [

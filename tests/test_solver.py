@@ -290,6 +290,20 @@ def test_solver_config_validation():
     assert SolverConfig(max_iters=np.int64(5), restarts=np.int32(2)).max_iters == 5
 
 
+# True ran silently as 1.0 (h = True as a grid with h = 1) and target=False
+# as 0.0, while a bool seed was already refused
+@pytest.mark.parametrize("refuse", [
+    lambda: SolverConfig(step=True),
+    lambda: SolverConfig(step=False),
+    lambda: SolverConfig(target=True),
+    lambda: SolverConfig(target=False),
+    lambda: grid_search(make_instance("ring3-m1-n1"), h=True),
+], ids=["step-true", "step-false", "target-true", "target-false", "grid-h-true"])
+def test_solver_refuses_a_bool_for_a_real_parameter(refuse):
+    with pytest.raises(ValueError, match="must be a real number, got (True|False)"):
+        refuse()
+
+
 @pytest.mark.parametrize("entry", ["check_stationary", "projected_gda", "extragradient"])
 def test_solvers_refuse_a_point_of_the_wrong_dimension(entry):
     # x and y share one [x | y] iterate sliced at d, so a short point would
