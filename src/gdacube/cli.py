@@ -59,7 +59,23 @@ _EPILOG = (
 
 # The stdlib C encoder, whose one-line output the writer below re-indents;
 # ``json.dumps`` with ``indent`` would run the pure-Python encoder per leaf.
-_encode = json.JSONEncoder(sort_keys=True).encode
+# It is built once with the stdlib's settings: ``JSONEncoder.encode`` builds
+# a new one per call, which costs more than encoding a number. The writer
+# walks every container that may hold one itself, so no cycle reaches it
+# and it keeps no circular-reference markers.
+_STDLIB = json.JSONEncoder(sort_keys=True)
+_C_ENCODER = json.encoder.c_make_encoder(
+    None, _STDLIB.default, json.encoder.encode_basestring_ascii, None,
+    _STDLIB.key_separator, _STDLIB.item_separator, True, False, True)
+
+
+def _encode(o) -> str:
+    """``JSONEncoder(sort_keys=True).encode(o)``, strings first as it takes them."""
+    if isinstance(o, str):
+        return json.encoder.encode_basestring_ascii(o)
+    return "".join(_C_ENCODER(o, 0))
+
+
 _NUMBERS = frozenset({float, int, bool, type(None), np.float64})
 _LISTS = frozenset({list, tuple})
 _SCALARS = _NUMBERS | {str}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lin_vi import SlackReport, check_solution, resolve_rho
+from .lin_vi import SlackReport, check_solution, json_real, resolve_rho
 from .pure_circuit import Assignment, GateViolation, Trit, verify_assignment
 from .reduction import GdaInstance, diagnostics  # unused, kept for bench/tracing.py
 from .solver import StationarityReport, check_stationary  # check_stationary: likewise
@@ -180,8 +180,10 @@ def lemma_audit(inst: GdaInstance, ev: StationarityReport, eps: float,
 
     Reads only the point's record ``ev``: its violations, diagnostics and
     copy slacks feed every section and both dichotomy branches. Raises
-    NotStationaryError unless its max violation is at most eps.
+    NotStationaryError unless its max violation is at most eps, and
+    ValueError if eps is not a real number (a bool would read as 1.0).
     """
+    eps = json_real(eps, "eps")
     if not ev.max_violation <= eps:
         raise NotStationaryError(
             f"max violation {ev.max_violation} exceeds eps {eps}; the audited "
@@ -263,7 +265,7 @@ def lemma_audit(inst: GdaInstance, ev: StationarityReport, eps: float,
     s, lam = diag.gate_value, diag.bit
     consistent = bool(np.all((s != 1.0) | (lam == 1.0)) and np.all((s != 0.0) | (lam == 0.0)))
 
-    return LemmaAudit(epsilon=float(eps), coord_bound=coord, l1_bound=l1,
+    return LemmaAudit(epsilon=eps, coord_bound=coord, l1_bound=l1,
                       noise_bound=noise, guess_count=guess,
                       consistency_zero=cons_zero, consistency_one=cons_one,
                       premises=premises, witness=witness, gates_consistent=consistent)

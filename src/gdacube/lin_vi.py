@@ -30,7 +30,7 @@ def _require_rho(rho: float) -> float:
 
 
 def json_real(value, what: str) -> float:
-    """A number read from a JSON artifact, as a float.
+    """A number read from a JSON artifact or passed to a library call, as a float.
 
     Refuses (ValueError) a bool, string or null instead of converting it
     (``true`` to 1.0, ``"0.5"`` to 0.5), and an integer too large for a float.
@@ -110,9 +110,10 @@ class SlackReport:
 def resolve_rho(inst: LinVIInstance, rho: float | None = None) -> float:
     """The acceptance tolerance: an override if given, else the instance's rho.
 
-    An override must be finite and positive, as the instance's own rho is.
+    An override must be a finite and positive real number (not a bool), as
+    the instance's own rho is.
     """
-    return inst.rho if rho is None else _require_rho(float(rho))
+    return inst.rho if rho is None else _require_rho(json_real(rho, "rho"))
 
 
 def operator_slacks(inst: LinVIInstance, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,20 +15,26 @@ The logical level of a vertex is distance_threshold(||x^q - y^q||^2, m),
 and the link value is H_q = sum_i <D x_i^q + c, y_i^q - x_i^q>.
 
 ``build_instance`` compiles the circuit once into a gather plan
-(:class:`GateTables`). The objective and the gradient share one forward
-path: ``_block_parts`` computes distances and links for a stack of vertex
-blocks (``_batch_parts`` for all kappa blocks of a (B, d) batch), and the
-levels and gate terms are then evaluated over whole tables with at most
-three gate calls: the distance threshold, NOR, and PURIFY on its +1/4 and
--1/4 arguments at once. The gradient (``_grad_many``) takes value and
-slope from each call and also returns its per-vertex tables, so
-``eval_grad``, ``diagnostics`` and ``solver.check_stationary`` are views
-of one pass; the objective (``_objective``) takes the levels and the value
-of the other two calls. When every level of a batch is 0, every gate sits
-on a flat piece, and the gradient makes the threshold call only: it reads
-the gate values from a table computed once at build time and sets the
-noise to +0.0, the exact bits of the general path (see ``_grad_many``).
-The objective and the two oracles below always take the general path.
+(:class:`GateTables`) and stores the pass's constant tables (-D, 2 M_i and
+the flat gate values). The objective and the gradient share one forward
+path: ``_block_parts`` computes differences, distances and D x + c for a
+stack of vertex blocks (``_batch_parts`` for all kappa blocks of a (B, d)
+batch), ``_links`` the link values from them, and the levels and gate
+terms are then evaluated over whole tables with at most three gate calls:
+the distance threshold, NOR, and PURIFY on its +1/4 and -1/4 arguments at
+once. The objective (``_objective``) takes the levels and the value of the
+other two calls. The gradient pass (``_field_many``) takes value and slope
+from each call and writes the joint field [gx | -gy], along which both
+solver players move, straight into one (B, 2d) array; the solvers read
+that array and nothing else. When every level of a batch is 0, every gate
+sits on a flat piece, and the pass makes the threshold call only: it
+reads the gate values from the table computed at build time and forms no
+links and no noise, with the exact bits of the general path (see
+``_field_many``). The pass also returns its tables, and the batch-1 record
+``_evaluate`` completes them (links, and for a flat pass the flat gate
+values and +0.0 noise), so ``eval_grad``, ``diagnostics`` and
+``solver.check_stationary`` are views of one pass. The objective and the
+two oracles below always take the general path.
 
 Every per-vertex and per-gate table of that path is vertex-major, a
 (rows, B) array with one row per vertex or gate term, so each lookup in
@@ -228,7 +234,9 @@ class GateTables:
     ``flat_values`` is the read-only (kappa, 1) table of gate values at
     all-zero levels, where every gate sits on a flat piece (NOR reads 1,
     PURIFY 0) with slope 0; the gradient reads it instead of calling the
-    NOR and PURIFY kernels when every level of a batch is 0.
+    NOR and PURIFY kernels when every level of a batch is 0, through
+    ``flat_blocks``, a read-only (1, kappa, 1, 1) view that broadcasts
+    over the (B, kappa, n, m) copy blocks.
     """
 
     nor_uv: np.ndarray
@@ -237,6 +245,7 @@ class GateTables:
     links: np.ndarray
     noise_targets: np.ndarray
     flat_values: np.ndarray
+    flat_blocks: np.ndarray
 
     @property
     def n_nor(self) -> int:
@@ -262,14 +271,16 @@ def _compile_gates(pc: PureCircuitInstance) -> GateTables:
                                for q in np.flatnonzero(producers > 1)])
 
     nor_uv = nor[:, :2].ravel()
+    flat = np.zeros((pc.kappa, 1))
     tables = GateTables(
         nor_uv=nor_uv, purify_uu=np.repeat(purify[:, 0], 2),
         purify_shift=np.tile([0.25, -0.25], len(purify)), links=links,
         noise_targets=np.concatenate((nor_uv, purify[:, 0])),
-        flat_values=np.zeros((pc.kappa, 1)))
+        flat_values=flat, flat_blocks=flat.reshape(1, pc.kappa, 1, 1))
     nor_args, purify_args = _gate_args(tables, np.zeros((pc.kappa, 1)))
-    tables.flat_values[links] = np.concatenate((nor_gate(nor_args), purify_gate(purify_args)))
-    tables.flat_values.setflags(write=False)
+    flat[links] = np.concatenate((nor_gate(nor_args), purify_gate(purify_args)))
+    for table in (flat, tables.flat_blocks):
+        table.setflags(write=False)
     return tables
 
 
@@ -285,6 +296,10 @@ class GdaInstance:
     M: np.ndarray
     bounds: Bounds
     gates: GateTables
+    # read-only tables of the gradient pass, built once: -D, and 2 M_i as an
+    # (n, 1) column, the regularizer weight of a flat pass
+    neg_D: np.ndarray
+    two_M: np.ndarray
 
     @property
     def delta(self) -> float:
@@ -385,9 +400,12 @@ def build_instance(pc: PureCircuitInstance, vi: LinVIInstance, params: GdaParams
     if not all(math.isfinite(b) for b in (bounds.G, bounds.L, bounds.B)):  # G >= 2 max|M_i|
         raise ValidationError([f"delta = {params.delta} overflows the regularizer "
                                "weights M_i or the bounds G, L, B"])
+    neg_D, two_M = np.negative(vi.D), 2.0 * M[:, None]
+    for table in (neg_D, two_M):
+        table.setflags(write=False)
     return GdaInstance(
         pc=pc, vi=vi, params=params, kappa=kappa, n=n, m=m, d=kappa * n * m,
-        M=M, bounds=bounds, gates=_compile_gates(pc),
+        M=M, bounds=bounds, gates=_compile_gates(pc), neg_D=neg_D, two_M=two_M,
     )
 
 
@@ -459,19 +477,24 @@ def _blocks_times(A: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _block_parts(inst: GdaInstance, Xb: np.ndarray, Yb: np.ndarray):
     """Differences and D x + c for a (B, K, n, m) stack of K vertex blocks
-    per row; squared distances and link values as (K, B) tables."""
+    per row, and the squared distances as a (K, B) table."""
     diff = Xb - Yb
     dist_sq = np.einsum("bqnm,bqnm->qb", diff, diff)
     dx_c = _blocks_times(Xb, inst.vi.D.T)
     dx_c += inst.vi.c
-    H = np.einsum("bqnm,bqnm->qb", dx_c, -diff)
-    return diff, dist_sq, dx_c, H
+    return diff, dist_sq, dx_c
 
 
 def _batch_parts(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
     """``_block_parts`` of a (B, d) batch: the kappa vertex blocks of every row."""
     shape = (X.shape[0], inst.kappa, inst.n, inst.m)
     return _block_parts(inst, X.reshape(shape), Y.reshape(shape))
+
+
+def _links(diff: np.ndarray, dx_c: np.ndarray) -> np.ndarray:
+    """Link values H = sum_i <D x_i + c, y_i - x_i> of the blocks of
+    ``_block_parts``, as a (K, B) table."""
+    return np.einsum("bqnm,bqnm->qb", dx_c, -diff)
 
 
 def _gate_args(tables: GateTables, lam):
@@ -540,53 +563,72 @@ def _objective(inst: GdaInstance, lam: np.ndarray, H: np.ndarray,
 
 
 def _f_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff, dist_sq, _, H = _batch_parts(inst, X, Y)
-    return _objective(inst, distance_threshold(dist_sq, inst.m), H, (diff**2).sum(axis=3))
+    diff, dist_sq, dx_c = _batch_parts(inst, X, Y)
+    return _objective(inst, distance_threshold(dist_sq, inst.m), _links(diff, dx_c),
+                      (diff**2).sum(axis=3))
 
 
-def _grad_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
-    """Gradients GX, GY of a (B, d) batch and the vertex tables of the same
-    pass: gate values, noise, links, squared distances and levels as
-    (kappa, B) tables, and the (B, kappa, n, m) differences x - y.
+def _field_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
+    """The joint field [gx | -gy] of a (B, d) batch as one (B, 2d) array,
+    and the tables of the same pass: the (B, kappa, n, m) differences x - y
+    and D x + c, the squared distances and levels as (kappa, B) tables, and
+    the (kappa, B) gate values, noise and links, or None for a flat pass.
 
     When every level is 0 (every squared distance at most 3m) the gate
-    layer is flat: s is a read-only broadcast of ``GateTables.flat_values``
-    and the noise is +0.0, with no NOR or PURIFY call and no scatter.
-    These are the bits of ``_node_aggregates``, whose gate arguments are
-    then exactly 0 and +-1/4 and whose noise terms 0 * slope * link each
-    read +-0.0, summed from +0.0. Other batches take ``_node_aggregates``.
+    layer is flat: the gate values are ``GateTables.flat_blocks`` and the
+    regularizer weight 2 (M_i + noise_q) is ``two_M``, with no NOR or
+    PURIFY call, no links and no noise table. These are the bits of
+    ``_node_aggregates``, whose gate arguments are then exactly 0 and
+    +-1/4 and whose noise terms 0 * slope * link each read +-0.0, summed
+    from +0.0; M_i is never -0.0, so 2 (M_i + 0.0) is 2 M_i. Other batches
+    take ``_node_aggregates``. Each half of the field is written in place,
+    and -gy is gy negated, which is exact, sign of zero included.
     """
-    diff, dist_sq, dx_c, H = _batch_parts(inst, X, Y)
+    # the output is allocated before the pass's temporaries: allocated after
+    # them, a (64, 2 * 2048) pass ran ~15 % slower (2-vCPU x86-64, numpy
+    # 2.4.6), since the allocator then reused freed blocks less well
+    F = np.empty((X.shape[0], 2, inst.kappa, inst.n, inst.m))
+    diff, dist_sq, dx_c = _batch_parts(inst, X, Y)
     lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
     if np.count_nonzero(lam):
+        H = _links(diff, dx_c)
         s, noise = _node_aggregates(inst, lam, lam_p, H)
+        nodes = s, noise, H
+        s4 = s.T[:, :, None, None]
+        weight = 2.0 * (inst.M[None, None, :, None] + noise.T[:, :, None, None])
     else:
-        # no finiteness guard on H: LinVIInstance keeps D and c in [-1, 1]
-        # and points lie in the box, so every link is finite, and a NaN
-        # coordinate was refused by the threshold call above
-        s = np.broadcast_to(inst.gates.flat_values, lam.shape)
-        noise = np.zeros_like(lam)
+        # the skipped noise terms 0 * slope * link are +-0.0 only for finite
+        # links: LinVIInstance keeps D and c in [-1, 1] and points lie in the
+        # box, so every link is finite, and a NaN coordinate was refused by
+        # the threshold call above
+        nodes, s4, weight = None, inst.gates.flat_blocks, inst.two_M
     del lam_p
-    # D^T (y - x) with the bits of -diff @ D, but no (B, d) copy of -diff
-    dt_yx = _blocks_times(diff, np.negative(inst.vi.D))
     # the 2 (M_i + noise_q) (x - y) term of both players
-    reg = 2.0 * (inst.M[None, None, :, None] + noise.T[:, :, None, None]) * diff
-    s4 = s.T[:, :, None, None]
-    dt_yx -= dx_c
-    GX = np.multiply(s4, dt_yx, out=dt_yx)
-    GX += reg
-    GY = np.multiply(s4, dx_c, out=dx_c)
-    GY -= reg
-    return GX.reshape(-1, inst.d), GY.reshape(-1, inst.d), (s, noise, H, dist_sq, lam, diff)
+    reg = weight * diff
+    # D^T (y - x) with the bits of -diff @ D, but no (B, d) copy of -diff
+    term = _blocks_times(diff, inst.neg_D)
+    term -= dx_c
+    term *= s4
+    # each half of F is written once, by the last operation of its formula,
+    # so every other operation runs on contiguous blocks
+    np.add(term, reg, out=F[:, 0])
+    np.multiply(s4, dx_c, out=term)
+    term -= reg
+    np.negative(term, out=F[:, 1])
+    return F.reshape(-1, 2 * inst.d), (diff, dx_c, dist_sq, lam, nodes)
 
 
 def _evaluate(inst: GdaInstance, p: JointPoint):
-    """Gradient and :class:`NodeDiagnostics` of p from one batch-1 pass."""
+    """Joint field row [gx | -gy] and :class:`NodeDiagnostics` of p from
+    one batch-1 pass; a flat pass's gate values are the read-only flat
+    table, its noise +0.0, and its links are formed here."""
     _check_point(inst, p)
-    GX, GY, (s, noise, H, dist_sq, lam, diff) = _grad_many(inst, p.x[None, :], p.y[None, :])
+    F, (diff, dx_c, dist_sq, lam, nodes) = _field_many(inst, p.x[None, :], p.y[None, :])
+    if nodes is None:
+        nodes = inst.gates.flat_values, np.zeros((inst.kappa, 1)), _links(diff, dx_c)
+    s, noise, H = (table[:, 0] for table in nodes)
     l1 = np.abs(diff[0]).sum(axis=(1, 2))
-    return GX[0], GY[0], NodeDiagnostics(s[:, 0], noise[:, 0], H[:, 0], dist_sq[:, 0], l1,
-                                         lam[:, 0])
+    return F[0], NodeDiagnostics(s, noise, H, dist_sq[:, 0], l1, lam[:, 0])
 
 
 def eval_f(inst: GdaInstance, p: JointPoint) -> float:
@@ -601,7 +643,8 @@ def eval_grad(inst: GdaInstance, p: JointPoint) -> tuple[np.ndarray, np.ndarray]
     gx = s_q * [(D^T (y_i^q - x_i^q))_j - (D x_i^q + c)_j] + 2 (M_i + noise_q) (x - y)
     gy = s_q * (D x_i^q + c)_j - 2 (M_i + noise_q) (x - y)
     """
-    return _evaluate(inst, p)[:2]
+    F, _ = _evaluate(inst, p)
+    return F[:inst.d], np.negative(F[inst.d:])
 
 
 def eval_grad_direct(inst: GdaInstance, p: JointPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -670,10 +713,12 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
     ``FD_CHUNK_ELEMS``, so a chunk's largest table, the (rows, kappa, n)
     squared norms, stays cache-sized and memory O(d * chunk).
 
-    Refuses an h that is lost in rounding, where z + h or z - h equals z
-    for some coordinate z: every difference there would read 0.
+    Refuses an h that is not a real number (a bool would read as 1.0) and
+    one that is lost in rounding, where z + h or z - h equals z for some
+    coordinate z: every difference there would read 0.
     """
     _check_point(inst, p)
+    h = json_real(h, "finite-difference step")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step must be finite and positive, got {h!r}")
     base = np.concatenate([p.x, p.y])
@@ -681,7 +726,8 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
         raise ValueError(f"finite-difference step {h!r} is lost in rounding: "
                          "z + h or z - h equals z for some coordinate z")
     kappa, n, m = inst.kappa, inst.n, inst.m
-    diff, dist_sq, _, H = _batch_parts(inst, p.x[None, :], p.y[None, :])
+    diff, dist_sq, dx_c = _batch_parts(inst, p.x[None, :], p.y[None, :])
+    H = _links(diff, dx_c)
     lam = distance_threshold(dist_sq, m)
     sq_norms = (diff**2).sum(axis=3)
     blocks = base.reshape(2, kappa, n * m)  # [player, vertex, copy and coordinate]
@@ -696,12 +742,12 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
         XY[player, rows[0::2], offset] += h
         XY[player, rows[1::2], offset] -= h
         XY = XY.reshape(2, rows.size, 1, n, m)
-        b_diff, b_dist_sq, _, b_H = _block_parts(inst, XY[0], XY[1])
+        b_diff, b_dist_sq, b_dx_c = _block_parts(inst, XY[0], XY[1])
         moved = vertex.repeat(2)
         chunk_lam = lam.repeat(rows.size, axis=1)
         chunk_lam[moved, rows] = distance_threshold(b_dist_sq[0], m)
         chunk_H = H.repeat(rows.size, axis=1)
-        chunk_H[moved, rows] = b_H[0]
+        chunk_H[moved, rows] = _links(b_diff, b_dx_c)[0]
         chunk_sq_norms = sq_norms.repeat(rows.size, axis=0)
         chunk_sq_norms[rows, moved] = (b_diff**2).sum(axis=3)[:, 0]
         vals = _objective(inst, chunk_lam, chunk_H, chunk_sq_norms)
@@ -713,4 +759,4 @@ def finite_diff_grad(inst: GdaInstance, p: JointPoint, h: float = 1e-6):
 def diagnostics(inst: GdaInstance, p: JointPoint) -> NodeDiagnostics:
     """Per-vertex gate value, noise, link and distance summary from the
     gradient pass at batch size 1; a vertex without a producing gate reads 0."""
-    return _evaluate(inst, p)[2]
+    return _evaluate(inst, p)[1]

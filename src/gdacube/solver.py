@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lin_vi import operator_slacks
+from .lin_vi import json_real, operator_slacks
 from .reduction import (CapExceededError, GdaInstance, JointPoint, NodeDiagnostics,
-                        _check_point, _evaluate, _grad_many)
+                        _check_point, _evaluate, _field_many)
 
 __all__ = [
     "StationarityReport",
@@ -98,11 +98,12 @@ def _field(inst: GdaInstance, Z: np.ndarray) -> np.ndarray:
     """The joint field [gx | -gy] at the rows of the joint iterate Z = [x | y].
 
     Both players move along it: x ascends gx and y descends gy. The
-    negation is exact, sign of zero included, so a step or a violation
-    read off the field has the bits of the per-player formulas.
+    gradient pass writes it as one (B, 2d) array, and its -gy half is gy
+    negated, which is exact, sign of zero included, so a step or a
+    violation read off the field has the bits of the per-player formulas.
+    The pass's tables are not read here.
     """
-    GX, GY, _ = _grad_many(inst, Z[:, :inst.d], Z[:, inst.d:])
-    return np.concatenate((GX, np.negative(GY)), axis=1)
+    return _field_many(inst, Z[:, :inst.d], Z[:, inst.d:])[0]
 
 
 def _violations(z, f):
@@ -122,14 +123,15 @@ def _violations(z, f):
 
 def check_stationary(inst: GdaInstance, p: JointPoint, eps: float) -> StationarityReport:
     """The one evaluation of p that decoding and the audit read: both players'
-    endpoint violations against eps, that pass's diagnostics, copy slacks."""
-    gx, gy, nodes = _evaluate(inst, p)
-    z = np.concatenate((p.x, p.y))
-    v = _violations(z, np.concatenate((gx, np.negative(gy))))
+    endpoint violations against eps, that pass's diagnostics, copy slacks.
+    Refuses an eps that is not a real number (a bool would read as 1.0)."""
+    eps = json_real(eps, "eps")
+    field, nodes = _evaluate(inst, p)
+    v = _violations(np.concatenate((p.x, p.y)), field)
     worst = float(v.max())
     _, slacks = operator_slacks(inst.vi, p.x.reshape(inst.kappa * inst.n, inst.m))
     return StationarityReport(point=p, violations_x=v[:inst.d], violations_y=v[inst.d:],
-                              max_violation=worst, epsilon=float(eps), passed=bool(worst <= eps),
+                              max_violation=worst, epsilon=eps, passed=bool(worst <= eps),
                               diagnostics=nodes, copy_slacks=slacks.min(axis=1))
 
 
@@ -313,6 +315,8 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None) -> Solver
     """
     if isinstance(h, bool):  # True would run as a grid with h = 1
         raise ValueError(f"grid spacing h must be a real number, got {h!r}")
+    if eps is not None:  # refused before the sweep, as check_stationary refuses it
+        json_real(eps, "eps")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"grid spacing h must be finite and positive, got {h!r}")
     k = round(1.0 / h)

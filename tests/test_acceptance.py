@@ -36,7 +36,7 @@ from gdacube.reduction import (
     paper_params,
     parameter_premises,
 )
-from gdacube.reduction import _batch_parts, _grad_many, _node_aggregates
+from gdacube.reduction import _batch_parts, _field_many, _links, _node_aggregates
 from gdacube.solver import SolverConfig, extragradient, grid_search
 from test_decoder import PUSHY_VI, place, record
 
@@ -140,10 +140,11 @@ def test_criterion_3_structural_identities():
         inst = make_instance(name)
         X = rng.uniform(0, 1, (334, inst.d))
         Y = rng.uniform(0, 1, (334, inst.d))
-        GX, GY, _ = _grad_many(inst, X, Y)
-        diff, dist_sq, _, H = _batch_parts(inst, X, Y)
+        F, _ = _field_many(inst, X, Y)
+        GX, GY = F[:, :inst.d], np.negative(F[:, inst.d:])
+        diff, dist_sq, dx_c = _batch_parts(inst, X, Y)
         lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
-        s, _ = _node_aggregates(inst, lam, lam_p, H)
+        s, _ = _node_aggregates(inst, lam, lam_p, _links(diff, dx_c))
         want = (s.T[:, :, None, None] * (-diff @ inst.vi.D)).reshape(334, inst.d)
         err = np.abs(GX + GY - want).max() / max(1.0, np.abs(GX).max())
         checks.append((err <= 1e-12, f"{name}: sum identity error {err}"))

@@ -166,19 +166,19 @@ def test_pipeline_reports_are_byte_identical(tmp_path, solver_flags, code):
     pytest.param(["--method", "grid", "--h", 0.5, "--n", 1], id="grid"),
 ])
 def test_pipeline_evaluates_its_final_point_once(tmp_path, monkeypatch, method):
-    # every forward pass runs through _grad_many (the solvers hold their own
+    # every forward pass runs through _field_many (the solvers hold their own
     # binding of it). With two restarts a solver step is a 2-row batch and a
     # grid tile has many rows, so the one 1-row pass is the final point's
     # record, made in the solve; decode and the audit make no pass of their own
     passes, phase = [], ["solve"]
-    grad_many = reduction._grad_many
+    field_many = reduction._field_many
 
     def counted(inst, X, Y):
         passes.append((phase[0], len(X), X[0].tolist()))
-        return grad_many(inst, X, Y)
+        return field_many(inst, X, Y)
 
-    monkeypatch.setattr(reduction, "_grad_many", counted)
-    monkeypatch.setattr(solver, "_grad_many", counted)
+    monkeypatch.setattr(reduction, "_field_many", counted)
+    monkeypatch.setattr(solver, "_field_many", counted)
     for name in ("decode", "lemma_audit"):
         def within(*args, _fn=getattr(cli, name), _name=name, **kwargs):
             phase[0] = _name

@@ -34,7 +34,7 @@ from gdacube.reduction import (
     parameter_premises,
 )
 from gdacube import reduction
-from gdacube.reduction import _batch_parts, _f_many, _grad_many, _node_aggregates
+from gdacube.reduction import _batch_parts, _f_many, _field_many, _links, _node_aggregates
 from gdacube import solver
 from gdacube.solver import SolverConfig, check_stationary, extragradient, grid_search
 
@@ -341,7 +341,7 @@ def test_grid_chunk_gradient_memory_is_bounded():
     X, Y = rng.uniform(0, 1, (2, 65536, inst.d))
     tracemalloc.start()
     try:
-        _grad_many(inst, X, Y)
+        _field_many(inst, X, Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -401,12 +401,13 @@ def test_batched_paths_match_single_point(shape_instances):
     X = rng.uniform(0, 1, (16, inst.d))
     Y = rng.uniform(0, 1, (16, inst.d))
     F = _f_many(inst, X, Y)
-    GX, GY, _ = _grad_many(inst, X, Y)
+    field, _ = _field_many(inst, X, Y)
     for b in range(16):
         p = JointPoint(X[b], Y[b])
         assert abs(F[b] - eval_f(inst, p)) <= 1e-12
         gx, gy = eval_grad(inst, p)
-        assert np.array_equal(GX[b], gx) and np.array_equal(GY[b], gy)
+        assert np.array_equal(field[b, :inst.d], gx)
+        assert np.array_equal(field[b, inst.d:], np.negative(gy))
 
 
 def test_diagnostics_gate_values(shape_instances):
@@ -475,8 +476,8 @@ def loop_node_aggregates(inst, dist_sq, lam, H):
 
 def loop_f_many(inst, X, Y):
     """Reference objective: gate terms added one gate at a time."""
-    diff, dist_sq, _, H = _batch_parts(inst, X, Y)
-    dist_sq, H = dist_sq.T, H.T
+    diff, dist_sq, dx_c = _batch_parts(inst, X, Y)
+    dist_sq, H = dist_sq.T, _links(diff, dx_c).T
     lam = distance_threshold(dist_sq, inst.m)
     total = np.zeros(X.shape[0])
     for u, v, w in inst.pc.nor_gates:
@@ -488,30 +489,55 @@ def loop_f_many(inst, X, Y):
     return total
 
 
-def loop_diagnostics(inst, p):
-    """Reference diagnostics from per-point formulas and the loop above at B = 1."""
-    x = p.x.reshape(inst.kappa, inst.n, inst.m)
-    y = p.y.reshape(inst.kappa, inst.n, inst.m)
+def loop_tables(inst, X, Y):
+    """Reference vertex tables of a (B, d) batch from per-point formulas and
+    the loop above: gate values, noise, links, squared and l1 distances and
+    levels, each a vertex-major (kappa, B) array."""
+    shape = (len(X), inst.kappa, inst.n, inst.m)
+    x, y = X.reshape(shape), Y.reshape(shape)
     diff = x - y
-    dist_sq = np.einsum("qnm,qnm->q", diff, diff)
+    dist_sq = np.einsum("bqnm,bqnm->bq", diff, diff)
     lam = distance_threshold(dist_sq, inst.m)
-    H = np.einsum("qnm,qnm->q", x @ inst.vi.D.T + inst.vi.c, -diff)
-    s, noise = loop_node_aggregates(inst, dist_sq[None, :], lam[None, :], H[None, :])
-    return s[0], noise[0], H, dist_sq, np.abs(diff).sum(axis=(1, 2)), lam
+    H = np.einsum("bqnm,bqnm->bq", x @ inst.vi.D.T + inst.vi.c, -diff)
+    s, noise = loop_node_aggregates(inst, dist_sq, lam, H)
+    return tuple(map(vertex_major, (s, noise, H, dist_sq, np.abs(diff).sum(axis=(2, 3)), lam)))
 
 
-def assert_grad_pass_matches_the_loop(inst, X, Y):
-    """``_grad_many``'s gradients and six tables equal those of
-    ``_node_aggregates`` and of the per-gate loop bit for bit; returns the tables."""
-    GX, GY, tables = _grad_many(inst, X, Y)
-    diff, dist_sq, _, H = _batch_parts(inst, X, Y)
-    lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
-    s, noise = _node_aggregates(inst, lam, lam_p, H)
-    loop_s, loop_noise = loop_node_aggregates(inst, dist_sq.T, lam.T, H.T)
-    assert bit_equal(s.T, loop_s) and bit_equal(noise.T, loop_noise)
-    assert all(bit_equal(g, w) for g, w in zip(tables, (s, noise, H, dist_sq, lam, diff)))
-    assert all(bit_equal(g, w) for g, w in zip((GX, GY), assembled_grad(inst, X, Y, s, noise)))
-    return tables
+# the fields of NodeDiagnostics in the order of loop_tables
+DIAGNOSTICS = ("gate_value", "noise", "link", "dist_sq", "dist_l1", "bit")
+
+
+def assert_field_pass_matches_the_loop(inst, X, Y, records=None):
+    """The joint field [gx | -gy] and the tables of ``_field_many``, and the
+    field and diagnostics of the record of each row in ``records`` (every
+    row by default), equal those of the per-gate loop bit for bit, sign of
+    zero included; returns the pass's levels and its (gate values, noise,
+    links), None for a flat pass."""
+    F, (diff, dx_c, dist_sq, lam, nodes) = _field_many(inst, X, Y)
+    want = loop_tables(inst, X, Y)
+    s, noise, H, loop_dist_sq, _, loop_lam = want
+    GX, GY = assembled_grad(inst, X, Y, s, noise)
+    field = np.concatenate((GX, np.negative(GY)), axis=1)
+    assert bit_equal(F, field)
+    assert bit_equal(diff, (X - Y).reshape(diff.shape))
+    assert bit_equal(dx_c, _batch_parts(inst, X, Y)[2])
+    assert bit_equal(dist_sq, loop_dist_sq) and bit_equal(lam, loop_lam)
+    if nodes is None:  # only a pass whose every level is 0 skips the gate layer
+        assert not lam.any()
+    else:
+        assert all(bit_equal(g, w) for g, w in zip(nodes, (s, noise, H)))
+    for b in range(len(X)) if records is None else records:
+        p = JointPoint(X[b], Y[b])
+        row, diag = reduction._evaluate(inst, p)
+        record = check_stationary(inst, p, 0.0).diagnostics
+        assert bit_equal(row, field[b])
+        assert all(bit_equal(g, w) for g, w in zip(eval_grad(inst, p), (GX[b], GY[b])))
+        for got in (diag, record, diagnostics(inst, p)):
+            assert all(bit_equal(getattr(got, f), w[:, b]) for f, w in zip(DIAGNOSTICS, want))
+        # a flat record's gate values are a view of the instance's table,
+        # which no caller may write into
+        assert record.gate_value.flags.writeable == bool(lam[:, b].any())
+    return lam, nodes
 
 
 def bit_equal(a, b):
@@ -575,7 +601,7 @@ def ramp_row(inst, rng):
 def assembled_grad(inst, X, Y, s, noise):
     """Reference: the gradient formula of ``eval_grad`` at (kappa, B) gate
     values s and noise, with the forward path's operation order."""
-    diff, _, dx_c, _ = _batch_parts(inst, X, Y)
+    diff, _, dx_c = _batch_parts(inst, X, Y)
     reg = 2.0 * (inst.M[None, None, :, None] + noise.T[:, :, None, None]) * diff
     s4 = s.T[:, :, None, None]
     GX = s4 * (reduction._blocks_times(diff, np.negative(inst.vi.D)) - dx_c) + reg
@@ -596,17 +622,42 @@ def batch_near_ramps(inst, rng, B):
     return X, Y
 
 
+def equal_blocks(inst, rng, X, Y):
+    """Copies of X, Y with y = x on about half of the vertex blocks of every
+    row, where x - y is +0.0 and the field holds zeros of either sign."""
+    Y = Y.copy()
+    same = np.repeat(rng.uniform(0, 1, (len(X), inst.kappa)) < 0.5, inst.n * inst.m, axis=1)
+    Y[same] = X[same]
+    return X.copy(), Y
+
+
+def grid_tile(inst, rng, k=2):
+    """One tile of ``grid_search``'s sweep at h = 1/k: its last t joint
+    coordinates run over every grid value, the leading ones are fixed."""
+    width = 2 * inst.d
+    t = 1
+    while t < width and (k + 1) ** (t + 1) * width <= solver.GRID_BLOCK_ELEMS:
+        t += 1
+    vals = np.linspace(0.0, 1.0, k + 1)
+    P = np.empty(((k + 1) ** t, width))
+    P[:, width - t:] = vals[np.indices((k + 1,) * t).reshape(t, -1).T]
+    P[:, :width - t] = vals[rng.integers(0, k + 1, width - t)]
+    return P[:, :inst.d], P[:, inst.d:]
+
+
 @settings(max_examples=60, deadline=None)
 @given(pc=loose_circuits(), m=st.integers(1, 3), n=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1))
 @example(pc=TANGLED, m=1, n=4, seed=0)
 @example(pc=gen_example("ring", 16, 0), m=2, n=8, seed=1)
 @example(pc=gen_example("purify_tree", 9, 3), m=1, n=4, seed=2)
+@example(pc=TANGLED, m=2, n=1, seed=3)  # one-row blocks: the stacked product
+@example(pc=PureCircuitInstance(4, nor_gates=((0, 1, 2),)), m=3, n=4, seed=4)  # no producer
 def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
     inst = build_instance(pc, gen_random(m, seed % 97), GdaParams(n=n, epsilon=1e-3, delta=0.5),
                           validate=False)
     rng = np.random.default_rng(seed)
-    for B in (1, 7):
+    for B in (1, 2, 7):
         # free-standing levels inside the ramps make every noise term nonzero,
         # so a sum taken in another order shows in the last bits
         synthetic = (3 * m + rng.uniform(-0.2, 1.2, (B, pc.kappa)),
@@ -617,42 +668,36 @@ def test_gate_tables_match_the_per_gate_loop(pc, m, n, seed):
         want = loop_node_aggregates(inst, *synthetic)
         assert bit_equal(got[0].T, want[0]) and bit_equal(got[1].T, want[1])
         X, Y = batch_near_ramps(inst, rng, B)
-        _, dist_sq, _, H = _batch_parts(inst, X, Y)
+        diff, dist_sq, dx_c = _batch_parts(inst, X, Y)
+        H = _links(diff, dx_c)
         assert dist_sq.shape == H.shape == (pc.kappa, B)
         lam, lam_p = distance_threshold(dist_sq, m, slope=True)
         got = _node_aggregates(inst, lam, lam_p, H)
         want = loop_node_aggregates(inst, dist_sq.T, lam.T, H.T)
         assert bit_equal(got[0].T, want[0]) and bit_equal(got[1].T, want[1])
         assert bit_equal(_f_many(inst, X, Y), loop_f_many(inst, X, Y))
-        for b in range(B):
-            p = JointPoint(X[b], Y[b])
-            want = loop_diagnostics(inst, p)
-            # diagnostics and the point's record are views of one gradient pass
-            for diag in (diagnostics(inst, p), check_stationary(inst, p, 0.0).diagnostics):
-                got = (diag.gate_value, diag.noise, diag.link, diag.dist_sq, diag.dist_l1,
-                       diag.bit)
-                assert all(bit_equal(g, w) for g, w in zip(got, want))
+        assert_field_pass_matches_the_loop(inst, X, Y)
+        assert_field_pass_matches_the_loop(inst, *equal_blocks(inst, rng, X, Y))
         # every level 0 (one block exactly at 3m when n >= 3): the gradient
         # pass reads the flat gate table, with the bits of the general path
         X, Y = flat_batch(inst, rng, B)
-        flat = assert_grad_pass_matches_the_loop(inst, X, Y)
-        assert not (flat[4].any() or flat[0].flags.writeable)
-        for b in range(B):
-            p = JointPoint(X[b], Y[b])
-            record = check_stationary(inst, p, 0.0).diagnostics
-            got = (record.gate_value, record.noise, record.link, record.dist_sq,
-                   record.dist_l1, record.bit)
-            assert all(bit_equal(g, w) for g, w in zip(got, loop_diagnostics(inst, p)))
-            # a view of the instance's table, which no caller may write into
-            assert not record.gate_value.flags.writeable
+        for X, Y in ((X, Y), equal_blocks(inst, rng, X, Y)):
+            lam, nodes = assert_field_pass_matches_the_loop(inst, X, Y)
+            assert nodes is None
+    # a tile of the grid sweep, flat or not, with the records of a few rows
+    X, Y = grid_tile(inst, rng)
+    assert_field_pass_matches_the_loop(inst, X, Y, rng.choice(len(X), 3, replace=False))
     if n >= 4:
-        # a flat row batched with a row inside the ramp takes the general path
-        x, y = ramp_row(inst, rng)
-        X, Y = np.stack((X[0], x)), np.stack((Y[0], y))
-        mixed = assert_grad_pass_matches_the_loop(inst, X, Y)
-        lam = mixed[4]
-        assert not lam[:, 0].any() and ((lam[:, 1] > 0) & (lam[:, 1] < 1)).any()
-        assert mixed[0].flags.writeable
+        # flat rows batched with rows inside the ramp take the general path
+        X, Y = flat_batch(inst, rng, 2)
+        ramps = [ramp_row(inst, rng) for _ in range(2)]
+        X = np.stack((X[0], ramps[0][0], X[1], ramps[1][0]))
+        Y = np.stack((Y[0], ramps[0][1], Y[1], ramps[1][1]))
+        lam, nodes = assert_field_pass_matches_the_loop(inst, X, Y)
+        assert not lam[:, 0::2].any()
+        assert ((lam[:, 1::2] > 0) & (lam[:, 1::2] < 1)).any(axis=0).all()
+        assert nodes is not None and nodes[0].flags.writeable
+        assert_field_pass_matches_the_loop(inst, *equal_blocks(inst, rng, X, Y))
 
 
 @settings(max_examples=60, deadline=None)
@@ -695,9 +740,9 @@ def test_flat_passes_make_one_gate_call(monkeypatch):
 
     for name in ("distance_threshold", "nor_gate", "purify_gate"):
         monkeypatch.setattr(reduction, name, counted(name, getattr(reduction, name)))
-    grad_many = counted("passes", _grad_many)
-    monkeypatch.setattr(reduction, "_grad_many", grad_many)
-    monkeypatch.setattr(solver, "_grad_many", grad_many)
+    field_many = counted("passes", _field_many)
+    monkeypatch.setattr(reduction, "_field_many", field_many)
+    monkeypatch.setattr(solver, "_field_many", field_many)
     rng = np.random.default_rng(0)
     p = random_point(inst, rng)
     eval_grad(inst, p)

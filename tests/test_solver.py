@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_instance, random_point
+from gdacube.decoder import decode, lemma_audit
 from gdacube.lin_vi import LinVIInstance, gen_random
 from gdacube.pure_circuit import PureCircuitInstance, gen_example
 from gdacube.reduction import (
@@ -15,6 +16,7 @@ from gdacube.reduction import (
     build_instance,
     diagnostics,
     eval_grad,
+    finite_diff_grad,
 )
 from gdacube import solver
 from gdacube.solver import (
@@ -180,7 +182,8 @@ def test_grid_search_returns_a_solver_result(monkeypatch):
     P = np.array(np.meshgrid(*[np.linspace(0.0, 1.0, k)] * (2 * inst.d),
                              indexing="ij")).reshape(2 * inst.d, -1).T
     X, Y = P[:, :inst.d], P[:, inst.d:]
-    vx, vy = _violation_arrays(X, Y, *solver._grad_many(inst, X, Y)[:2])
+    F, _ = solver._field_many(inst, X, Y)
+    vx, vy = _violation_arrays(X, Y, F[:, :inst.d], np.negative(F[:, inst.d:]))
     v = np.maximum(vx.max(axis=1), vy.max(axis=1))
     b = int(np.argmin(v))
     # 3^6 grid points in tiles of 3^t rows, 3^t * 6 <= block, t >= 1
@@ -304,6 +307,27 @@ def test_solver_refuses_a_bool_for_a_real_parameter(refuse):
         refuse()
 
 
+# each call read True as 1.0: check_stationary and grid_search reported
+# epsilon 1.0, lemma_audit audited at eps 1.0, decode took rho 1.0 and the
+# finite differences stepped by 1.0
+@pytest.mark.parametrize("call", [
+    lambda inst, p, ev: check_stationary(inst, p, True),
+    lambda inst, p, ev: check_stationary(inst, p, False),
+    lambda inst, p, ev: grid_search(inst, 0.5, eps=True),
+    lambda inst, p, ev: lemma_audit(inst, ev, True, 0.5),
+    lambda inst, p, ev: lemma_audit(inst, ev, 1.0, True),
+    lambda inst, p, ev: decode(inst, ev, True),
+    lambda inst, p, ev: finite_diff_grad(inst, p, h=True),
+], ids=["check-eps-true", "check-eps-false", "grid-eps-true", "audit-eps-true",
+        "audit-rho-true", "decode-rho-true", "fd-h-true"])
+def test_library_calls_refuse_a_bool_for_a_real_parameter(call):
+    inst = make_instance("ring3-m1-n1")
+    p = JointPoint(np.full(inst.d, 0.5), np.full(inst.d, 0.5))
+    ev = check_stationary(inst, p, 1.0)
+    with pytest.raises(ValueError, match="must be a real number, got (True|False)"):
+        call(inst, p, ev)
+
+
 @pytest.mark.parametrize("entry", ["check_stationary", "projected_gda", "extragradient"])
 def test_solvers_refuse_a_point_of_the_wrong_dimension(entry):
     # x and y share one [x | y] iterate sliced at d, so a short point would
@@ -369,8 +393,8 @@ def _sequential_drive(inst, p0, cfg, extrapolate):
     total = 0
 
     def grad_at(x, y):
-        GX, GY, _ = solver._grad_many(inst, x[None, :], y[None, :])
-        return GX[0], GY[0]
+        F, _ = solver._field_many(inst, x[None, :], y[None, :])
+        return F[0, :inst.d], np.negative(F[0, inst.d:])
 
     def consider(x, y, gx, gy):
         nonlocal best_v, best_x, best_y
@@ -524,14 +548,14 @@ def test_batched_restarts_non_finite_rows(shape_instances, monkeypatch):
     # ascent-descent only: with extrapolation the NaN reaches the gates at
     # the extrapolated point first (see the next test).
     inst = shape_instances["ring3-m2-n4"]
-    grad_many = solver._grad_many
+    field_many = solver._field_many
 
     def poisoned(inst, X, Y):
-        GX, GY, nodes = grad_many(inst, X, Y)
-        GX[(X[:, 0] < 0.3) | (X[:, 0] > 0.7)] = np.nan
-        return GX, GY, nodes
+        F, tables = field_many(inst, X, Y)
+        F[(X[:, 0] < 0.3) | (X[:, 0] > 0.7), :inst.d] = np.nan  # gx
+        return F, tables
 
-    monkeypatch.setattr(solver, "_grad_many", poisoned)
+    monkeypatch.setattr(solver, "_field_many", poisoned)
     p0 = JointPoint(np.full(inst.d, 0.5), np.full(inst.d, 0.5))
     outcomes = set()
     for seed in range(6):
@@ -547,16 +571,16 @@ def test_extragradient_gates_refuse_a_non_finite_gradient(shape_instances, monke
     # a NaN gradient survives np.clip into the extrapolated point, whose
     # value-and-slope gate call refuses it before any iterate check
     inst = shape_instances["ring3-m2-n4"]
-    grad_many = solver._grad_many
+    field_many = solver._field_many
     finite_inputs = []
 
     def poisoned(inst, X, Y):
         finite_inputs.append(bool(np.isfinite(X).all() and np.isfinite(Y).all()))
-        GX, GY, nodes = grad_many(inst, X, Y)
-        GX[:, 0] = np.nan
-        return GX, GY, nodes
+        F, tables = field_many(inst, X, Y)
+        F[:, 0] = np.nan  # gx of the first coordinate
+        return F, tables
 
-    monkeypatch.setattr(solver, "_grad_many", poisoned)
+    monkeypatch.setattr(solver, "_field_many", poisoned)
     p0 = JointPoint(np.full(inst.d, 0.5), np.full(inst.d, 0.5))
     cfg = SolverConfig(step=0.05, max_iters=30, restarts=3, seed=0, target=0.0)
     with pytest.raises(ValueError, match="gate argument must be finite"):
