@@ -61,8 +61,8 @@ _EPILOG = (
 # ``json.dumps`` with ``indent`` would run the pure-Python encoder per leaf.
 # It is built once with the stdlib's settings: ``JSONEncoder.encode`` builds
 # a new one per call, which costs more than encoding a number. The writer
-# walks every container that may hold one itself, so no cycle reaches it
-# and it keeps no circular-reference markers.
+# walks every container that may hold one itself and keeps the markers
+# that refuse a cycle, so no cycle reaches the encoder, which keeps none.
 _STDLIB = json.JSONEncoder(sort_keys=True)
 _C_ENCODER = json.encoder.c_make_encoder(
     None, _STDLIB.default, json.encoder.encode_basestring_ascii, None,
@@ -82,8 +82,12 @@ _SCALARS = _NUMBERS | {str}
 
 
 def _depth(v: list | tuple) -> int:
-    """Depth of a non-empty array nested uniformly down to numbers, else 0."""
-    rows, depth = [v], 0
+    """Depth of a non-empty array nested uniformly down to numbers, else 0.
+
+    A list met again at a deeper level puts its numbers at two depths, or
+    holds itself, so it gives 0 too, and ``_write`` walks the array.
+    """
+    rows, depth, seen = [v], 0, {id(v)}
     while all(rows):  # no empty list at this level
         depth += 1
         kinds = set(map(type, chain.from_iterable(rows)))
@@ -92,15 +96,29 @@ def _depth(v: list | tuple) -> int:
         if not kinds <= _LISTS:
             return 0
         rows = list(chain.from_iterable(rows))
+        ids = set(map(id, rows))
+        if not seen.isdisjoint(ids):
+            return 0
+        seen |= ids
     return 0
 
 
-def _write(o, out: list, level: int = 0):
-    """Append ``json.dumps(o, indent=2, sort_keys=True)`` to ``out`` in pieces."""
+def _write(o, out: list, level: int = 0, enclosing: set | None = None):
+    """Append ``json.dumps(o, indent=2, sort_keys=True)`` to ``out`` in pieces.
+
+    ``enclosing`` holds the ids of the containers being written around
+    ``o``; a container that holds itself raises ValueError, as the stdlib
+    does.
+    """
     if not (isinstance(o, (dict, list, tuple)) and o):
         out.append(_encode(o))  # a scalar, a string, {} or []
         return
     pad = "\n" + "  " * (level + 1)
+    if enclosing is None:
+        enclosing = set()
+    if id(o) in enclosing:
+        raise ValueError("Circular reference detected")
+    enclosing.add(id(o))
     if isinstance(o, dict):
         sep = "{" + pad
         for k, v in sorted(o.items()):  # the stdlib sorts, and fails, the same way
@@ -110,7 +128,7 @@ def _write(o, out: list, level: int = 0):
                                     f"not {type(k).__name__}")
                 k = _encode(k)
             out += sep, _encode(k), ": "
-            _write(v, out, level + 1)
+            _write(v, out, level + 1, enclosing)
             sep = "," + pad
         out.append(pad[:-2] + "}")
     elif depth := _depth(o):
@@ -132,9 +150,10 @@ def _write(o, out: list, level: int = 0):
         sep = "[" + pad
         for v in o:
             out.append(sep)
-            _write(v, out, level + 1)
+            _write(v, out, level + 1, enclosing)
             sep = "," + pad
         out.append(pad[:-2] + "]")
+    enclosing.remove(id(o))
 
 
 def _dump(d: dict, path: str | None):

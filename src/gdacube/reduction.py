@@ -26,15 +26,15 @@ once. The objective (``_objective``) takes the levels and the value of the
 other two calls. The gradient pass (``_field_many``) takes value and slope
 from each call and writes the joint field [gx | -gy], along which both
 solver players move, straight into one (B, 2d) array; the solvers read
-that array and nothing else. When every level of a batch is 0, every gate
-sits on a flat piece, and the pass makes the threshold call only: it
-reads the gate values from the table computed at build time and forms no
-links and no noise, with the exact bits of the general path (see
-``_field_many``). The pass also returns its tables, and the batch-1 record
-``_evaluate`` completes them (links, and for a flat pass the flat gate
-values and +0.0 noise), so ``eval_grad``, ``diagnostics`` and
-``solver.check_stationary`` are views of one pass. The objective and the
-two oracles below always take the general path.
+that array and nothing else. When every squared distance of a batch is
+at most 3m, every level is 0 and every gate sits on a flat piece, and the
+pass makes no gate call: it reads the gate values from the table computed
+at build time and forms no links and no noise, with the exact bits of the
+general path (see ``_field_many``). The pass also returns its tables,
+and the batch-1 record ``_evaluate`` completes them (links, and for a
+flat pass the flat gate values and +0.0 noise), so ``eval_grad``,
+``diagnostics`` and ``solver.check_stationary`` are views of one pass.
+The objective and the two oracles below always take the general path.
 
 Every per-vertex and per-gate table of that path is vertex-major, a
 (rows, B) array with one row per vertex or gate term, so each lookup in
@@ -467,19 +467,41 @@ def _blocks_times(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     One matrix product over all B * kappa * n rows replaces B * kappa
     tiny stacked ones and gives the same bits, except for one-row blocks
     (n = 1) with m >= 2, which numpy multiplies as vector-matrix products
-    rounded another way; those keep the stacked product.
+    rounded another way; those keep the stacked product. At m = 1 the
+    product is a plain multiply in A's memory order: the matrix product
+    computes 0 + a b, so the +0.0 added after it turns a -0.0 product into
+    +0.0 as the matrix product does, and every other value keeps its bits.
     """
     n, m = A.shape[-2:]
-    if n == 1 and m > 1:
+    if m == 1:
+        out = A * M[0, 0]
+        out += 0.0
+        return out
+    if n == 1:
         return A @ M
     return (A.reshape(-1, m) @ M).reshape(A.shape)
+
+
+def _copy_sums(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum_{n,m} A C over the copies of each of a (B, K, n, m) stack of
+    blocks, as a (K, B) table.
+
+    einsum adds three or more terms per block in an order set by the
+    operands' memory layout (vector lanes over a contiguous block, one term
+    at a time across blocks), so such operands are summed row-major: a
+    column-major batch keeps the bits of the same batch row-major. One or
+    two terms give the same bits in any order and are summed as they lie.
+    """
+    if A.shape[2] * A.shape[3] >= 3:
+        A, C = np.ascontiguousarray(A), np.ascontiguousarray(C)
+    return np.einsum("bqnm,bqnm->qb", A, C)
 
 
 def _block_parts(inst: GdaInstance, Xb: np.ndarray, Yb: np.ndarray):
     """Differences and D x + c for a (B, K, n, m) stack of K vertex blocks
     per row, and the squared distances as a (K, B) table."""
     diff = Xb - Yb
-    dist_sq = np.einsum("bqnm,bqnm->qb", diff, diff)
+    dist_sq = _copy_sums(diff, diff)
     dx_c = _blocks_times(Xb, inst.vi.D.T)
     dx_c += inst.vi.c
     return diff, dist_sq, dx_c
@@ -494,7 +516,7 @@ def _batch_parts(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
 def _links(diff: np.ndarray, dx_c: np.ndarray) -> np.ndarray:
     """Link values H = sum_i <D x_i + c, y_i - x_i> of the blocks of
     ``_block_parts``, as a (K, B) table."""
-    return np.einsum("bqnm,bqnm->qb", dx_c, -diff)
+    return _copy_sums(dx_c, -diff)
 
 
 def _gate_args(tables: GateTables, lam):
@@ -574,35 +596,48 @@ def _field_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
     and D x + c, the squared distances and levels as (kappa, B) tables, and
     the (kappa, B) gate values, noise and links, or None for a flat pass.
 
-    When every level is 0 (every squared distance at most 3m) the gate
-    layer is flat: the gate values are ``GateTables.flat_blocks`` and the
-    regularizer weight 2 (M_i + noise_q) is ``two_M``, with no NOR or
-    PURIFY call, no links and no noise table. These are the bits of
-    ``_node_aggregates``, whose gate arguments are then exactly 0 and
-    +-1/4 and whose noise terms 0 * slope * link each read +-0.0, summed
-    from +0.0; M_i is never -0.0, so 2 (M_i + 0.0) is 2 M_i. Other batches
-    take ``_node_aggregates``. Each half of the field is written in place,
-    and -gy is gy negated, which is exact, sign of zero included.
+    The pass is flat when every squared distance is at most 3m, a test of
+    one reduction: every level is then 0 and the levels table is +0.0,
+    with no threshold call. The gate layer is flat too: the gate values
+    are ``GateTables.flat_blocks`` and the regularizer weight
+    2 (M_i + noise_q) is ``two_M``, with no NOR or PURIFY call, no links
+    and no noise table. These are the bits of ``_node_aggregates``, whose
+    gate arguments are then exactly 0 and +-1/4 and whose noise terms
+    0 * slope * link each read +-0.0, summed from +0.0; M_i is never -0.0,
+    so 2 (M_i + 0.0) is 2 M_i. Other batches call the threshold and take
+    ``_node_aggregates``, so a NaN or infinite distance, which fails the
+    test, is refused there; a batch past 3m whose levels all underflow to
+    0 takes that path as well and gets the flat bits from it. Each half of
+    the field is written in place, and -gy is gy negated, which is exact,
+    sign of zero included.
+
+    F follows the memory order of X: column-major when X is column-major
+    (a grid tile), row-major otherwise (the solvers' batches); a single
+    row lies the same way in both. On a tile every elementwise operation
+    then runs over contiguous runs of rows. Every result holds the same
+    bits in both orders (see ``_copy_sums``).
     """
+    B = X.shape[0]
     # the output is allocated before the pass's temporaries: allocated after
     # them, a (64, 2 * 2048) pass ran ~15 % slower (2-vCPU x86-64, numpy
     # 2.4.6), since the allocator then reused freed blocks less well
-    F = np.empty((X.shape[0], 2, inst.kappa, inst.n, inst.m))
+    F = np.empty((B, 2 * inst.d), order="F" if X.flags.f_contiguous else "C")
+    halves = F.reshape(B, 2, inst.kappa, inst.n, inst.m)  # a view in both orders
     diff, dist_sq, dx_c = _batch_parts(inst, X, Y)
-    lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
-    if np.count_nonzero(lam):
+    if dist_sq.max() <= 3.0 * inst.m:
+        # the skipped noise terms 0 * slope * link are +-0.0 only for finite
+        # links: LinVIInstance keeps D and c in [-1, 1] and points lie in the
+        # box, so every link is finite, and a NaN coordinate fails the test
+        lam = np.zeros((inst.kappa, B))
+        nodes, s4, weight = None, inst.gates.flat_blocks, inst.two_M
+    else:
+        lam, lam_p = distance_threshold(dist_sq, inst.m, slope=True)
         H = _links(diff, dx_c)
         s, noise = _node_aggregates(inst, lam, lam_p, H)
+        del lam_p
         nodes = s, noise, H
         s4 = s.T[:, :, None, None]
         weight = 2.0 * (inst.M[None, None, :, None] + noise.T[:, :, None, None])
-    else:
-        # the skipped noise terms 0 * slope * link are +-0.0 only for finite
-        # links: LinVIInstance keeps D and c in [-1, 1] and points lie in the
-        # box, so every link is finite, and a NaN coordinate was refused by
-        # the threshold call above
-        nodes, s4, weight = None, inst.gates.flat_blocks, inst.two_M
-    del lam_p
     # the 2 (M_i + noise_q) (x - y) term of both players
     reg = weight * diff
     # D^T (y - x) with the bits of -diff @ D, but no (B, d) copy of -diff
@@ -611,11 +646,11 @@ def _field_many(inst: GdaInstance, X: np.ndarray, Y: np.ndarray):
     term *= s4
     # each half of F is written once, by the last operation of its formula,
     # so every other operation runs on contiguous blocks
-    np.add(term, reg, out=F[:, 0])
+    np.add(term, reg, out=halves[:, 0])
     np.multiply(s4, dx_c, out=term)
     term -= reg
-    np.negative(term, out=F[:, 1])
-    return F.reshape(-1, 2 * inst.d), (diff, dx_c, dist_sq, lam, nodes)
+    np.negative(term, out=halves[:, 1])
+    return F, (diff, dx_c, dist_sq, lam, nodes)
 
 
 def _evaluate(inst: GdaInstance, p: JointPoint):

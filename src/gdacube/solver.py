@@ -141,14 +141,21 @@ def _row_violations(Z, F) -> np.ndarray:
     if v.shape[0] > v.shape[1]:
         # numpy reduces many short rows far slower than the columns of the
         # transpose (a grid tile of 3,125 x 8: ~270 vs ~32 us); max is exact,
-        # so both give the same bits
+        # so both give the same bits. A column-major tile's transpose is
+        # already contiguous and is not copied.
         return np.ascontiguousarray(v.T).max(axis=0)
     return v.max(axis=1)
 
 
 # The grid sweep evaluates tiles of at most this many (rows x 2d) elements,
-# so the field's temporaries stay cache-sized.
-GRID_BLOCK_ELEMS = 1 << 16
+# so the tile and every temporary of its pass, the (rows, 2d) field the
+# largest, take at most 128 KiB, glibc's default mmap threshold: the
+# allocator then serves them from the heap rather than mapping and
+# faulting each one in anew. At 2^16 a grid_certify job made ~14,600
+# minor page faults, at 2^14 ~0.1 (getrusage over 15 in-process jobs,
+# 2-vCPU x86-64, numpy 2.4.6). A table of exactly 128 KiB is mapped once
+# and then raises glibc's dynamic threshold above itself.
+GRID_BLOCK_ELEMS = 1 << 14
 
 # Restarts run as the rows of one batch, in groups of at most this many
 # elements per (rows, d) array, so memory stays bounded whatever the count.
@@ -298,6 +305,21 @@ def extragradient(inst: GdaInstance, p0: JointPoint, cfg: SolverConfig) -> Solve
     return _drive(inst, p0, cfg, extrapolate=True)
 
 
+def _eval_cap() -> int:
+    """The grid point cap: ``GDACUBE_EVAL_CAP`` if set, which must read as
+    a non-negative integer, else ``DEFAULT_EVAL_CAP``."""
+    raw = os.environ.get(EVAL_CAP_ENV)
+    if raw is None:
+        return DEFAULT_EVAL_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"{EVAL_CAP_ENV} must be a non-negative integer, got {raw!r}")
+    return cap
+
+
 def grid_search(inst: GdaInstance, h: float, eps: float | None = None) -> SolverResult:
     """Exhaustive sweep of the product grid with spacing h.
 
@@ -310,8 +332,14 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None) -> Solver
     t is the largest count of trailing coordinates with R * 2d at most
     ``GRID_BLOCK_ELEMS`` (at least 1, at most 2d), so every tile holds
     whole blocks of the last t digits and the tile count is (k+1)^(2d-t).
+    The rule keeps each per-tile table within 128 KiB, below which glibc
+    allocates from its heap instead of mapping fresh pages per table.
     The last t coordinates of a tile are one table built once; each tile
-    writes only its fixed leading coordinates into the reused buffer.
+    writes only its fixed leading coordinates into the reused buffer. The
+    tile is column-major, each coordinate a contiguous run of R values: a
+    tile is tall and narrow (625 x 8 at ring-4, n = m = 1, h = 1/4), and
+    the field pass follows its memory order, so every elementwise
+    operation runs over runs of rows rather than over rows of 2d values.
     """
     if isinstance(h, bool):  # True would run as a grid with h = 1
         raise ValueError(f"grid spacing h must be a real number, got {h!r}")
@@ -325,7 +353,7 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None) -> Solver
     vals = np.linspace(0.0, 1.0, k + 1)
     width = 2 * inst.d
     npts = (k + 1) ** width
-    cap = int(os.environ.get(EVAL_CAP_ENV, DEFAULT_EVAL_CAP))
+    cap = _eval_cap()
     if npts > cap:
         raise CapExceededError(f"grid has {npts} points, cap is {cap}")
 
@@ -333,7 +361,7 @@ def grid_search(inst: GdaInstance, h: float, eps: float | None = None) -> Solver
     while t < width and (k + 1) ** (t + 1) * width <= GRID_BLOCK_ELEMS:
         t += 1
     lead = width - t
-    P = np.empty(((k + 1) ** t, width))
+    P = np.empty((width, (k + 1) ** t)).T  # column-major: each coordinate a contiguous run
     P[:, lead:] = vals[np.indices((k + 1,) * t).reshape(t, -1).T]
     best_v, best_idx = np.inf, -1
     for tile, digits in enumerate(itertools.product(range(k + 1), repeat=lead)):

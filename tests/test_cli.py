@@ -641,3 +641,33 @@ def test_nan_gradient_fails_the_grad_check(workspace, monkeypatch, tmp_path, rou
     result = json.loads(out.read_text())
     key = "max_fd_tolerance_ratio" if route == "finite_diff_grad" else "max_dual_relative_error"
     assert np.isnan(result[key]) and result["pass"] is False
+
+
+@pytest.mark.parametrize("value", ["abc", "1e7", "-5", "", "2.5"])
+def test_bad_eval_cap_is_a_validation_error(workspace, monkeypatch, capsys, value):
+    # a cap that is not a non-negative integer is refused by name, not read
+    # as a cap that refuses every grid
+    *_, inst, _point, _instance = workspace
+    monkeypatch.setenv("GDACUBE_EVAL_CAP", value)
+    assert run("solve", "--instance", inst, "--method", "grid", "--h", 1) == cli.EXIT_VALIDATION
+    assert run("pipeline", "--method", "grid", "--h", 1, "--n", 1) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count(f"GDACUBE_EVAL_CAP must be a non-negative integer, got {value!r}") == 2
+
+
+def test_report_writer_refuses_a_cycle():
+    # as json.dumps does, instead of walking the cycle forever
+    a = []
+    a.append(a)
+    d = {"x": 1.0}
+    d["self"] = [d]
+    for obj in ({"k": a}, a, [[1.0], a], d):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            cli._write(obj, [])
+    # a list written twice, but not inside itself, is no cycle
+    r = [1.0, 2.0]
+    out = []
+    cli._write({"a": [r, r], "b": r}, out)
+    assert "".join(out) == json.dumps({"a": [r, r], "b": r}, indent=2, sort_keys=True)

@@ -724,12 +724,15 @@ def test_finite_diff_matches_one_batch_on_loose_circuits(pc, m, n, seed):
 
 def test_flat_passes_make_one_gate_call(monkeypatch):
     # at n <= 3 a block distance is at most n m <= 3m, so every level is 0
-    # and every gradient pass reads the flat table: its one gate-kernel call
-    # is the threshold, and no NOR or PURIFY kernel runs
+    # and every gradient pass reads the flat table: one reduction of the
+    # distances finds it flat, so no gate kernel runs, the threshold
+    # included; a pass with a level inside the ramp makes all three calls
     inst = build_instance(gen_example("ring", 16, 0), gen_random(2, 1),
                           GdaParams(n=3, epsilon=1e-3, delta=0.5))
     grid_inst = build_instance(gen_example("ring", 4, 0), gen_random(1, 1),
                                GdaParams(n=1, epsilon=1e-3, delta=0.5))
+    ramp_inst = build_instance(gen_example("ring", 4, 0), gen_random(1, 1),
+                               GdaParams(n=4, epsilon=1e-3, delta=0.5))
     calls = {"passes": 0, "distance_threshold": 0, "nor_gate": 0, "purify_gate": 0}
 
     def counted(name, fn):
@@ -750,10 +753,94 @@ def test_flat_passes_make_one_gate_call(monkeypatch):
     extragradient(inst, p, SolverConfig(step=0.05, max_iters=5, restarts=3))
     grid_search(grid_inst, h=0.5)
     # eval_grad and diagnostics; 5 extragradient iterations of two passes,
-    # the cap's scoring pass and the record; one grid tile and the record
-    assert calls["passes"] == 2 + 12 + 2
-    assert calls["distance_threshold"] == calls["passes"]
+    # the cap's scoring pass and the record; 9 grid tiles of 3^6 points and
+    # the record
+    assert calls["passes"] == 2 + 12 + 10
+    assert calls["distance_threshold"] == 0
     assert calls["nor_gate"] == calls["purify_gate"] == 0
+    eval_grad(ramp_inst, JointPoint(*ramp_row(ramp_inst, rng)))
+    assert calls["passes"] == 2 + 12 + 10 + 1
+    assert calls["distance_threshold"] == calls["nor_gate"] == calls["purify_gate"] == 1
+
+
+def test_blocks_times_at_m1_keeps_the_matmul_bits():
+    # at m = 1 the product is a plain multiply plus +0.0; the 1 x 1 matrix
+    # product computes 0 + a b, so a -0.0 product reads +0.0 in both
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324])
+    for N in (1, 2, 3, 7, 64, 1000, 100_000):
+        A = rng.uniform(-1.0, 1.0, (N, 4))
+        pick = rng.uniform(0, 1, A.shape) < 0.3
+        A[pick] = rng.choice(special, np.count_nonzero(pick))
+        for a in (A, np.asfortranarray(A)):
+            for shape in ((N, 2, 2, 1), (N, 4, 1, 1)):
+                blocks = a.reshape(shape)
+                for v in (*special, 0.7, -0.3, 1.0):
+                    M = np.array([[v]])
+                    want = (np.ascontiguousarray(blocks).reshape(-1, 1) @ M).reshape(shape)
+                    got = reduction._blocks_times(blocks, M)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("pc, m, n", [
+    (gen_example("ring", 4, 0), 1, 1),           # the grid_certify shape
+    (RING3, 1, 3),                               # n m = 3
+    (RING3, 3, 1),
+    (TANGLED, 2, 4),                             # ramps, n m = 8
+    (gen_example("purify_tree", 9, 3), 1, 5),    # ramps, n m = 5
+])
+def test_column_major_batches_keep_the_row_major_bits(pc, m, n):
+    # the same batch laid out column-major, as grid_search lays out its
+    # tiles, and row-major: F and every table of the pass hold the same
+    # bits, and F's memory order follows the batch's
+    inst = build_instance(pc, gen_random(m, 3), GdaParams(n=n, epsilon=1e-3, delta=0.5),
+                          validate=False)
+    rng = np.random.default_rng(10 * n + m)
+    batches = [flat_batch(inst, rng, 64), batch_near_ramps(inst, rng, 64), grid_tile(inst, rng)]
+    if n >= 4:
+        X, Y = flat_batch(inst, rng, 3)
+        ramps = [ramp_row(inst, rng) for _ in range(3)]
+        batches.append((np.concatenate((X, [x for x, _ in ramps])),
+                        np.concatenate((Y, [y for _, y in ramps]))))
+    batches += [equal_blocks(inst, rng, X, Y) for X, Y in batches]
+    flat = ramped = 0
+    for X, Y in batches:
+        Z = np.concatenate((X, Y), axis=1)
+        row_major, col_major = Z, np.asfortranarray(Z)
+        F, tables = _field_many(inst, row_major[:, :inst.d], row_major[:, inst.d:])
+        G, col_tables = _field_many(inst, col_major[:, :inst.d], col_major[:, inst.d:])
+        assert F.flags.c_contiguous and not F.flags.f_contiguous
+        assert G.flags.f_contiguous and not G.flags.c_contiguous
+        assert bit_equal(F, G)
+        *parts, lam, nodes = tables
+        *col_parts, col_lam, col_nodes = col_tables
+        assert all(bit_equal(a, b) for a, b in zip(parts + [lam], col_parts + [col_lam]))
+        if nodes is None:
+            assert col_nodes is None and not lam.any()
+            flat += 1
+        else:
+            assert all(bit_equal(a, b) for a, b in zip(nodes, col_nodes))
+            ramped += bool(((lam > 0) & (lam < 1)).any())
+    assert flat >= 2 and (ramped >= 2 if n >= 4 else ramped == 0)
+
+
+def test_a_nan_coordinate_is_refused_by_the_threshold():
+    # at n = 1 every finite point is flat, so no gate call is made; a NaN
+    # fails the flat test and reaches the threshold's check
+    inst = make_instance("ring3-m1-n1")
+    rng = np.random.default_rng(0)
+    p = random_point(inst, rng)
+    x = p.x.copy()
+    x[1] = np.nan
+    object.__setattr__(p, "x", x)  # JointPoint refuses it; the pass must as well
+    with pytest.raises(ValueError, match="gate argument must be finite"):
+        eval_grad(inst, p)
+    with pytest.raises(ValueError, match="gate argument must be finite"):
+        extragradient(inst, p, SolverConfig(step=0.05, max_iters=3, restarts=2))
+    P = np.asfortranarray(np.concatenate(grid_tile(inst, rng), axis=1))  # as the sweep's tiles
+    P[5, inst.d + 2] = np.nan
+    with pytest.raises(ValueError, match="gate argument must be finite"):
+        solver._field(inst, P)
 
 
 def test_gate_tables_run_in_gate_loop_order():

@@ -217,24 +217,28 @@ def _chunked_grid_violations(inst, h):
 
 
 def test_grid_tiles_match_the_chunked_sweep(monkeypatch):
-    # the grid_certify shape: ring-4, n = m = 1, h = 1/4, 5^8 points in 125
-    # tiles of 5^5; every row's violation, the best point and the best
-    # violation keep the bits of the flat-index enumeration
+    # every row's violation, the best point and the best violation of the
+    # column-major tiles keep the bits of the flat-index enumeration: the
+    # grid_certify shape (ring-4, n = m = 1, h = 1/4, 5^8 points in 625
+    # tiles of 5^4) and ring-3 at n = 3, h = 1 (n m = 3, 2^18 points in 512
+    # tiles of 2^9)
     row_violations = solver._row_violations
-    for seed in range(6):
-        inst = build_instance(gen_example("ring", 4, 0), gen_random(1, seed),
-                              GdaParams(n=1, epsilon=1e-3, delta=0.5))
-        want, point = _chunked_grid_violations(inst, 0.25)
+    cases = [(4, 1, 0.25, seed, 625, 625) for seed in range(6)] + [(3, 3, 1.0, 0, 512, 512)]
+    for size, n, h, seed, tiles, rows in cases:
+        inst = build_instance(gen_example("ring", size, 0), gen_random(1, seed),
+                              GdaParams(n=n, epsilon=1e-3, delta=0.5))
+        want, point = _chunked_grid_violations(inst, h)
         seen = []
 
         def recorded(Z, F):
+            assert Z.flags.f_contiguous and F.flags.f_contiguous
             seen.append(row_violations(Z, F))
             return seen[-1]
 
         with monkeypatch.context() as mp:
             mp.setattr(solver, "_row_violations", recorded)
-            res = grid_search(inst, 0.25)
-        assert len(seen) == 125 and all(len(v) == 3125 for v in seen)
+            res = grid_search(inst, h)
+        assert len(seen) == tiles and all(len(v) == rows for v in seen)
         got = np.concatenate(seen)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert res.trace[0][1] == want.min()
